@@ -42,6 +42,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 
 	"neu10/internal/experiments"
@@ -64,9 +65,20 @@ var scenarios = map[string]string{
 	"attrib":       "serve-attrib",
 }
 
+// scenarioNames lists the CLI scenario names, sorted, for help and
+// error text.
+func scenarioNames() string {
+	names := make([]string, 0, len(scenarios))
+	for n := range scenarios {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}
+
 func main() {
 	var (
-		scenario   = flag.String("scenario", "steady", "scenario: steady, flash-crowd, mix-shift, priority, llm, disagg, or chaos")
+		scenario   = flag.String("scenario", "steady", "scenario: "+scenarioNames())
 		seed       = flag.Uint64("seed", 1, "seed for arrivals, routing and therefore the whole report")
 		workers    = flag.Int("workers", 0, "worker pool for scenario-internal comparisons (0 = GOMAXPROCS)")
 		jsonOut    = flag.Bool("json", false, "emit the structured report(s) as JSON instead of a table")
@@ -106,7 +118,7 @@ func main() {
 	if !ok {
 		id = strings.TrimSpace(*scenario) // allow raw experiment ids too
 		if !strings.HasPrefix(id, "serve-") {
-			fatal(fmt.Errorf("unknown scenario %q (want steady, flash-crowd, mix-shift, priority, llm, disagg or chaos)", *scenario))
+			fatal(fmt.Errorf("unknown scenario %q (want one of %s)", *scenario, scenarioNames()))
 		}
 	}
 

@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"neu10/internal/obs"
+	"neu10/internal/serve"
 )
 
 // goldenServe maps every serving scenario to its snapshot files. Table
@@ -209,5 +212,47 @@ func TestAttribExportsWorkerInvariant(t *testing.T) {
 	}
 	if seqCSV != parCSV {
 		t.Error("merged attribution CSV differs between worker counts")
+	}
+}
+
+// goldenTraceSHA pins the merged Chrome trace export of three scenarios
+// run with Options.ServeObs = {Trace, Attrib} (serve-chaos-traced forces
+// its own {Trace, Timelines}, so it pins the trace-without-ledger-output
+// path). The traces are large, so SHA-256 digests stand in for
+// snapshot files. A mismatch means the request-lifecycle phases, their
+// order or their stamps changed.
+var goldenTraceSHA = []struct {
+	id, sha string
+}{
+	{"serve-chaos-traced", "113be0247f46fae92929faa490c9209ef3ac4b9cb1de8b33496fea23c6643ca4"},
+	{"serve-disagg", "0b4b67c1b0f0cadba11185f03bd027e7b6e8def2a4846fb26dccab8a54c88843"},
+	{"serve-paged", "14b466fb447a548c2ca2da8ea552e589ee6cbb0aa9e5ebe80c078d4e641f71c2"},
+}
+
+// TestGoldenServeTraces checks the Chrome trace bytes against the
+// pinned digests.
+func TestGoldenServeTraces(t *testing.T) {
+	opts := DefaultOptions()
+	opts.ServeObs = &serve.ObsConfig{Trace: true, Attrib: true}
+	r, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range goldenTraceSHA {
+		res, err := r.Run(g.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tracers []*obs.Tracer
+		for _, rep := range res.(*ServeResult).Reports {
+			tracers = append(tracers, rep.Trace)
+		}
+		h := sha256.New()
+		if err := obs.WriteChromeAll(h, tracers); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != g.sha {
+			t.Errorf("%s: Chrome trace sha256 %s, want %s", g.id, got, g.sha)
+		}
 	}
 }

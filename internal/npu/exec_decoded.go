@@ -13,7 +13,7 @@ import (
 // register file / execution environment are scratch state reused across
 // µTOps instead of being reallocated 16 KB at a time inside the
 // 50M-instruction execution loop. Semantics are identical to the
-// reference interpreter (step in exec.go) — decoding preserves the
+// reference interpreter (step in step_ref_test.go) — decoding preserves the
 // LS → ME → VE → misc slot order and omits only nops, which have no
 // architectural effect. decoded_test.go locks the two paths together.
 
@@ -42,7 +42,7 @@ func (c *Core) scratchMEs(n int) []int {
 }
 
 // stepDecoded executes one decoded instruction and returns the pc delta.
-// It mirrors step (exec.go) case for case.
+// It mirrors step (step_ref_test.go) case for case.
 func (c *Core) stepDecoded(ops []isa.DecodedOp, rf *regFile, env *execEnv, pc int) (int, error) {
 	delta := 1
 	var maxCost uint64 = 1

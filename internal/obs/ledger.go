@@ -23,11 +23,16 @@
 // increments Violations() instead of panicking — property tests assert
 // it stays zero across every scenario.
 //
+// With Trace set, the request book also drives the lifecycle trace:
+// each transition emits the Begin/End pairs of the phase its segment
+// shows as (segPhase), so no phase opens or closes except at a ledger
+// transition.
+//
 // The Ledger follows the Tracer's design rules: every method is
 // nil-receiver-safe (a disabled run passes nil and pays one pointer
 // test per hook, allocating nothing), recording is single-threaded by
-// the run's own event loop, and all output — records, CSV, totals — is
-// a deterministic function of the simulation.
+// the run's own event loop, and all output — records, CSV, totals,
+// trace phases — is a deterministic function of the simulation.
 package obs
 
 import (
@@ -112,6 +117,18 @@ func (s Segment) String() string {
 	return "segment(" + strconv.Itoa(int(s)) + ")"
 }
 
+// segPhase is the segment→phase table: the async trace phase a request
+// shows while in each segment. A migrate segment entered from decode is
+// an evacuation and shows as "evac" nested inside the open "decode".
+// SegPreempt has no entry: suspend/resume keep the parked phase open.
+var segPhase = [numSegments]string{
+	SegQueue: "queue", SegKVStall: "queue", SegCrashRequeue: "queue",
+	SegService: "service",
+	SegPrefill: "prefill", SegReplay: "prefill", SegCrashReplay: "prefill", SegChunkGap: "prefill",
+	SegDecode: "decode", SegDecodeGap: "decode", SegSwapOut: "decode", SegSwapQ: "decode", SegSwapIn: "decode",
+	SegMigrate: "migrate",
+}
+
 // Bucket identifies one exclusive state of a replica's lifetime in the
 // fleet cycle ledger.
 type Bucket uint8
@@ -172,6 +189,8 @@ type ReqRecord struct {
 	since     float64
 	susp      Segment // segment to restore on resume
 	suspended bool
+	ph        string // open trace phase ("evac" implies "decode" under it)
+	sealed    bool   // output finished at the first token: no phase reopens
 }
 
 // E2E is the request's end-to-end latency in cycles.
@@ -234,6 +253,8 @@ type reqKey struct {
 type Ledger struct {
 	Label  string  // run label (scenario)
 	FreqHz float64 // cycles per second, for cycle→ms conversion
+	// Trace, when set, receives each request's lifecycle phases.
+	Trace *Tracer
 
 	reqs map[reqKey]*ReqRecord // open (in-flight) requests
 	done []*ReqRecord          // completed, in completion order
@@ -266,6 +287,39 @@ func (r *ReqRecord) close(at float64) {
 	r.since = at
 }
 
+// retrace moves the request's open trace phase to the one seg shows,
+// emitting the End/Begin pairs.
+func (l *Ledger) retrace(r *ReqRecord, seg Segment, at float64) {
+	want := segPhase[seg]
+	if l.Trace == nil || r.sealed || want == "" || want == r.ph || (want == "migrate" && r.ph == "evac") {
+		return
+	}
+	switch {
+	case want == "migrate" && r.ph == "decode":
+		want = "evac" // decode stays open around the evacuation
+	case want == "decode" && r.ph == "evac":
+		l.Trace.End("evac", "req", r.Proc, at, r.ID)
+		r.ph = want
+		return
+	default:
+		l.endPhases(r, at)
+	}
+	l.Trace.Begin(want, "req", r.Proc, at, r.ID)
+	r.ph = want
+}
+
+// endPhases closes every open trace phase, innermost first.
+func (l *Ledger) endPhases(r *ReqRecord, at float64) {
+	if l.Trace == nil || r.ph == "" {
+		return
+	}
+	l.Trace.End(r.ph, "req", r.Proc, at, r.ID)
+	if r.ph == "evac" {
+		l.Trace.End("decode", "req", r.Proc, at, r.ID)
+	}
+	r.ph = ""
+}
+
 // ReqStart opens a request record at its arrival instant; the request
 // starts in SegQueue. Double-starts count as violations.
 func (l *Ledger) ReqStart(proc string, id int64, at float64) {
@@ -277,7 +331,9 @@ func (l *Ledger) ReqStart(proc string, id int64, at float64) {
 		l.violations++
 		return
 	}
-	l.reqs[k] = &ReqRecord{Proc: proc, ID: id, Arrive: at, cur: SegQueue, since: at}
+	r := &ReqRecord{Proc: proc, ID: id, Arrive: at, cur: SegQueue, since: at}
+	l.reqs[k] = r
+	l.retrace(r, SegQueue, at)
 }
 
 // ReqSeg transitions the request into seg, closing the open interval
@@ -295,10 +351,12 @@ func (l *Ledger) ReqSeg(proc string, id int64, seg Segment, at float64) {
 	r.close(at)
 	r.cur = seg
 	r.suspended = false
+	l.retrace(r, seg, at)
 }
 
 // ReqSuspend parks the request in SegPreempt, remembering the segment
-// to restore on resume. Idempotent while suspended.
+// to restore on resume; its trace phase stays open. Idempotent while
+// suspended.
 func (l *Ledger) ReqSuspend(proc string, id int64, at float64) {
 	if l == nil {
 		return
@@ -329,13 +387,34 @@ func (l *Ledger) ReqResume(proc string, id int64, at float64) {
 
 // ReqFirstToken stamps the request's first-token emission (first call
 // wins — a crash replay whose token was already delivered must not
-// restamp).
-func (l *Ledger) ReqFirstToken(proc string, id int64, at float64) {
+// restamp) and ends the trace phase that produced the token. The next
+// ReqSeg opens the decode phase; last (the first token was the final
+// one) seals the record so nothing opens again.
+func (l *Ledger) ReqFirstToken(proc string, id int64, at float64, last bool) {
 	if l == nil {
 		return
 	}
-	if r := l.reqs[reqKey{proc, id}]; r != nil && r.FirstTok == 0 {
+	r := l.reqs[reqKey{proc, id}]
+	if r == nil {
+		return
+	}
+	if r.FirstTok == 0 {
 		r.FirstTok = at
+	}
+	l.endPhases(r, at)
+	r.sealed = last
+}
+
+// ReqHalt ends the request's trace phases at a crash of its replica.
+// The segment runs on until the request is re-queued (whose ReqSeg
+// reopens a phase) or dropped.
+func (l *Ledger) ReqHalt(proc string, id int64, at float64) {
+	if l == nil {
+		return
+	}
+	if r := l.reqs[reqKey{proc, id}]; r != nil {
+		l.endPhases(r, at)
+		r.sealed = false
 	}
 }
 
@@ -353,6 +432,7 @@ func (l *Ledger) ReqDone(proc string, id int64, at float64, outTokens int) {
 		return
 	}
 	r.close(at)
+	l.endPhases(r, at)
 	r.Done = at
 	r.OutTokens = outTokens
 	var sum float64
@@ -375,13 +455,15 @@ func (l *Ledger) ReqDone(proc string, id int64, at float64, outTokens int) {
 }
 
 // ReqDrop discards an open record — a request lost to a crash or a
-// recovery policy, whose lifetime will never complete.
-func (l *Ledger) ReqDrop(proc string, id int64) {
+// recovery policy, whose lifetime will never complete — ending any
+// trace phase still open.
+func (l *Ledger) ReqDrop(proc string, id int64, at float64) {
 	if l == nil {
 		return
 	}
 	k := reqKey{proc, id}
-	if l.reqs[k] != nil {
+	if r := l.reqs[k]; r != nil {
+		l.endPhases(r, at)
 		delete(l.reqs, k)
 		l.drops++
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -27,9 +28,10 @@ func TestNilLedgerIsSafeAndFree(t *testing.T) {
 		l.ReqSeg("p", 1, SegService, 1)
 		l.ReqSuspend("p", 1, 2)
 		l.ReqResume("p", 1, 3)
-		l.ReqFirstToken("p", 1, 3)
+		l.ReqFirstToken("p", 1, 3, false)
+		l.ReqHalt("p", 1, 3)
 		l.ReqDone("p", 1, 4, 2)
-		l.ReqDrop("p", 2)
+		l.ReqDrop("p", 2, 4)
 		l.RepSpawn("p", 0, 0)
 		l.RepMark(0, BucketDecode, 1)
 		l.RepCrash(0, 2)
@@ -47,16 +49,16 @@ func TestNilLedgerIsSafeAndFree(t *testing.T) {
 func TestLedgerRequestConservation(t *testing.T) {
 	l := NewLedger("run", 1e9)
 	l.ReqStart("ten", 1, 100)
-	l.ReqSeg("ten", 1, SegKVStall, 200)   // queue:   100
-	l.ReqSeg("ten", 1, SegPrefill, 450)   // kv_stall: 250
-	l.ReqFirstToken("ten", 1, 900)        //
-	l.ReqSeg("ten", 1, SegDecodeGap, 900) // prefill: 450
-	l.ReqSuspend("ten", 1, 1000)          // decode_gap: 100
-	l.ReqSuspend("ten", 1, 1100)          // idempotent while suspended
-	l.ReqResume("ten", 1, 1400)           // preempt: 400
-	l.ReqSeg("ten", 1, SegDecode, 1500)   // decode_gap: +100
-	l.ReqFirstToken("ten", 1, 1600)       // first call won; no restamp
-	l.ReqDone("ten", 1, 2100, 5)          // decode:  600
+	l.ReqSeg("ten", 1, SegKVStall, 200)    // queue:   100
+	l.ReqSeg("ten", 1, SegPrefill, 450)    // kv_stall: 250
+	l.ReqFirstToken("ten", 1, 900, false)  //
+	l.ReqSeg("ten", 1, SegDecodeGap, 900)  // prefill: 450
+	l.ReqSuspend("ten", 1, 1000)           // decode_gap: 100
+	l.ReqSuspend("ten", 1, 1100)           // idempotent while suspended
+	l.ReqResume("ten", 1, 1400)            // preempt: 400
+	l.ReqSeg("ten", 1, SegDecode, 1500)    // decode_gap: +100
+	l.ReqFirstToken("ten", 1, 1600, false) // first call won; no restamp
+	l.ReqDone("ten", 1, 2100, 5)           // decode:  600
 	if v := l.Violations(); v != 0 {
 		t.Fatalf("%d violations on a legal walk", v)
 	}
@@ -161,8 +163,8 @@ func TestLedgerViolations(t *testing.T) {
 func TestLedgerDrop(t *testing.T) {
 	l := NewLedger("run", 1e9)
 	l.ReqStart("ten", 1, 0)
-	l.ReqDrop("ten", 1)
-	l.ReqDrop("ten", 1)
+	l.ReqDrop("ten", 1, 300)
+	l.ReqDrop("ten", 1, 300)
 	if l.Open() != 0 || l.Drops() != 1 || len(l.Completed()) != 0 {
 		t.Fatalf("open %d / drops %d / done %d, want 0/1/0", l.Open(), l.Drops(), len(l.Completed()))
 	}
@@ -200,5 +202,65 @@ func TestLedgerCSV(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatal("ledger CSV export is not deterministic")
+	}
+}
+
+// phaseLog renders a tracer's async events as "b:name@at" / "e:name@at".
+func phaseLog(tr *Tracer) string {
+	var b bytes.Buffer
+	for _, e := range tr.Events() {
+		if e.Ph == PhaseBegin || e.Ph == PhaseEnd {
+			fmt.Fprintf(&b, "%c:%s@%g ", e.Ph, e.Name, e.Start)
+		}
+	}
+	return b.String()
+}
+
+// TestLedgerDrivesTracePhases walks requests through the lifecycle
+// points that are not plain segment changes — first token, evacuation,
+// preemption, a crash halt and re-queue, a single-token request — and
+// checks the Begin/End pairs the segment→phase table emits.
+func TestLedgerDrivesTracePhases(t *testing.T) {
+	tr := NewTracer("run", 1e9)
+	l := NewLedger("run", 1e9)
+	l.Trace = tr
+	l.ReqStart("ten", 1, 0)
+	l.ReqSeg("ten", 1, SegKVStall, 1)       // same phase: nothing
+	l.ReqSeg("ten", 1, SegPrefill, 2)       // queue → prefill
+	l.ReqSeg("ten", 1, SegChunkGap, 3)      // same phase: nothing
+	l.ReqFirstToken("ten", 1, 4, false)     // prefill ends
+	l.ReqSeg("ten", 1, SegDecodeGap, 4)     // decode opens
+	l.ReqSuspend("ten", 1, 5)               // preempt keeps decode
+	l.ReqResume("ten", 1, 6)                //
+	l.ReqSeg("ten", 1, SegMigrate, 7)       // evac nests under decode
+	l.ReqSeg("ten", 1, SegDecodeGap, 8)     // evac closes
+	l.ReqSeg("ten", 1, SegMigrate, 9)       // evac again
+	l.ReqHalt("ten", 1, 10)                 // crash: evac then decode close
+	l.ReqSeg("ten", 1, SegCrashRequeue, 10) // re-queue reopens queue
+	l.ReqSeg("ten", 1, SegCrashReplay, 11)
+	l.ReqFirstToken("ten", 1, 12, true) // last token: sealed
+	l.ReqSeg("ten", 1, SegDecode, 12)   // sealed: nothing opens
+	l.ReqDone("ten", 1, 13, 1)
+	want := "b:queue@0 e:queue@2 b:prefill@2 e:prefill@4 b:decode@4 b:evac@7 e:evac@8 b:evac@9 " +
+		"e:evac@10 e:decode@10 b:queue@10 e:queue@11 b:prefill@11 e:prefill@12 "
+	if got := phaseLog(tr); got != want {
+		t.Fatalf("phases:\n got %s\nwant %s", got, want)
+	}
+	// A disaggregated handoff: prefill → migrate is exclusive, and the
+	// first token ends the migrate phase. Drop closes what is open.
+	tr2 := NewTracer("run", 1e9)
+	l.Trace = tr2
+	l.ReqStart("ten", 2, 0)
+	l.ReqSeg("ten", 2, SegPrefill, 1)
+	l.ReqSeg("ten", 2, SegMigrate, 2)
+	l.ReqFirstToken("ten", 2, 3, false)
+	l.ReqSeg("ten", 2, SegDecodeGap, 3)
+	l.ReqDrop("ten", 2, 4)
+	want = "b:queue@0 e:queue@1 b:prefill@1 e:prefill@2 b:migrate@2 e:migrate@3 b:decode@3 e:decode@4 "
+	if got := phaseLog(tr2); got != want {
+		t.Fatalf("phases:\n got %s\nwant %s", got, want)
+	}
+	if v := l.Violations(); v != 0 {
+		t.Fatalf("%d violations", v)
 	}
 }

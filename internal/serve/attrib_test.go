@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"neu10/internal/arch"
+	"neu10/internal/obs"
 )
 
 // attribOn clones a config with the attribution ledger enabled.
@@ -85,12 +86,45 @@ func verifyLedger(t *testing.T, label string, rep *Report) {
 	}
 }
 
+// verifyPhases checks the lifecycle phases the ledger derives for the
+// trace: per request they nest LIFO, and none is open at a completion,
+// at a crash outcome (a crash ends every phase) or after the drain.
+func verifyPhases(t *testing.T, label string, rep *Report) {
+	t.Helper()
+	type key struct {
+		proc string
+		req  int64
+	}
+	open := map[key][]string{}
+	for _, e := range rep.Trace.Events() {
+		k := key{e.Proc, e.Req}
+		switch st := open[k]; {
+		case e.Ph == obs.PhaseBegin:
+			open[k] = append(st, e.Name)
+		case e.Ph == obs.PhaseEnd:
+			if len(st) == 0 || st[len(st)-1] != e.Name {
+				t.Fatalf("%s: %s#%d End %q does not close the innermost of %v", label, e.Proc, e.Req, e.Name, st)
+			}
+			open[k] = st[:len(st)-1]
+		case e.Ph == obs.PhaseInstant && (e.Name == "complete" || strings.HasPrefix(e.Name, "crash-")) && len(st) > 0:
+			t.Fatalf("%s: %s#%d %s with %v still open", label, e.Proc, e.Req, e.Name, st)
+		}
+	}
+	for k, st := range open {
+		if len(st) > 0 {
+			t.Errorf("%s: %s#%d phases %v never closed", label, k.proc, k.req, st)
+		}
+	}
+}
+
 // TestAttribConservation is the tentpole property test: across seeds ×
 // every serving mode — single-shot dynamic batching with autoscaling,
 // continuous and static LLM batching, both paged-KV eviction policies,
 // preemptive priority sharing, disaggregation, and chaos with crashes,
 // a pod outage, link degradation and recovery — both conservation laws
 // must hold exactly and the scenario must leave nothing unaccounted.
+// The runs are traced too, so the derived lifecycle phases are checked
+// on the same paths.
 func TestAttribConservation(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -110,11 +144,14 @@ func TestAttribConservation(t *testing.T) {
 			{"chaos-fail", chaosConfig(seed, chaosFaults(CrashFail), nil)},
 		}
 		for _, c := range cases {
-			rep, err := Run(attribOn(c.cfg), db)
+			cfg := attribOn(c.cfg)
+			cfg.Obs.Trace = true
+			rep, err := Run(cfg, db)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", c.label, seed, err)
 			}
 			verifyLedger(t, c.label, rep)
+			verifyPhases(t, c.label, rep)
 		}
 	}
 }

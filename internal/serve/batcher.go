@@ -106,12 +106,6 @@ func (d *dynamicBatch) launch(r *replica, q *slotQueue, _ batchKind, now sim.Tim
 	b.reqs = append(b.reqs[:0], q.reqs[:n]...)
 	rest := copy(q.reqs, q.reqs[n:])
 	q.reqs = q.reqs[:rest]
-	if f.obs != nil {
-		for i := range b.reqs {
-			f.obs.trace.End("queue", "req", t.cfg.Name, float64(now), b.reqs[i].id)
-			f.obs.trace.Begin("service", "req", t.cfg.Name, float64(now), b.reqs[i].id)
-		}
-	}
 	if f.led != nil {
 		for i := range b.reqs {
 			f.led.ReqSeg(t.cfg.Name, b.reqs[i].id, obs.SegService, float64(now))
@@ -145,12 +139,7 @@ func (d *dynamicBatch) finish(r *replica, b *batch, now sim.Time) *batch {
 			f.prioLat[t.cfg.Priority].Add(lat)
 		}
 		t.completed++
-		f.led.ReqDone(t.cfg.Name, req.id, float64(now), 0)
-		if f.obs != nil {
-			f.obsCompletion(t, lat)
-			f.obs.trace.End("service", "req", t.cfg.Name, float64(now), req.id)
-			f.obs.trace.Instant("complete", "req", t.cfg.Name, obsTrackControl, float64(now), req.id, "lat_us", int64(lat/f.cfg.Core.FrequencyHz*1e6), "", "")
-		}
+		f.reqDone(t, req.id, lat, 0, now)
 	}
 	return nil
 }

@@ -158,10 +158,7 @@ func (db *disaggBatcher) launchPrefill(r *replica, q *slotQueue, now sim.Time, r
 		t.llm.admitted++
 		t.llm.promptTokens += int64(req.prompt)
 		t.llm.outputTokens += int64(req.output)
-		if f.obs != nil {
-			f.obs.trace.End("queue", "req", t.cfg.Name, float64(now), req.id)
-			f.obs.trace.Begin("prefill", "req", t.cfg.Name, float64(now), req.id)
-		}
+		f.reqPrefill(t, &req, now)
 		if f.cfg.Autoscale {
 			// The prefill pool's autoscale signal: queue delay from
 			// arrival to the first prefill invocation.
@@ -195,7 +192,9 @@ func (db *disaggBatcher) launchPrefill(r *replica, q *slotQueue, now sim.Time, r
 	if len(b.seqs) == 0 {
 		panic("serve: disaggregated prefill launch with no work")
 	}
-	f.ledPrefillSeqs(t, b.seqs, now)
+	for _, s := range b.seqs {
+		f.reqPrefill(t, &s.req, now)
+	}
 	// A chunk is NOT a fresh short prefill: its attention spans the
 	// whole cached context behind it, so a late chunk of a long prompt
 	// costs real work beyond the weight re-streaming. The invocation is
@@ -221,17 +220,11 @@ func (d *disaggBatcher) finishPrefill(r *replica, b *batch, now sim.Time) {
 		if s.promptDone >= s.req.prompt {
 			s.ctx = s.req.prompt
 			s.prefDone = now
-			if f.obs != nil {
-				// The migrate phase covers the whole prefill→decode handoff:
-				// any parked wait plus the wire time (TTFT's interconnect slice).
-				f.obs.trace.End("prefill", "req", t.cfg.Name, float64(now), s.req.id)
-				f.obs.trace.Begin("migrate", "req", t.cfg.Name, float64(now), s.req.id)
-			}
-			if f.led != nil {
-				f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegMigrate, float64(now))
-			}
+			// The migrate segment covers the whole prefill→decode handoff:
+			// any parked wait plus the wire time (TTFT's interconnect slice).
+			f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegMigrate, float64(now))
 			f.startMigration(r, s, now)
-		} else if f.led != nil {
+		} else {
 			f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegChunkGap, float64(now))
 		}
 	}
@@ -326,9 +319,6 @@ func (f *fleet) finishMigration(fl *migFlight, now sim.Time) {
 	t.llm.migLanded++
 	t.llm.migBytes += fl.bytes
 	t.llm.migWaitCycles += float64(now - s.prefDone)
-	if f.obs != nil {
-		f.obs.trace.End("migrate", "req", t.cfg.Name, float64(now), s.req.id)
-	}
 	f.emitFirstToken(t, s, now)
 	if s.produced >= s.req.output {
 		f.completeSeq(dst, t, s, now)

@@ -63,9 +63,10 @@ type fleet struct {
 	// obs is the run's observability runtime; nil (the default) means
 	// every hook site is one nil check and nothing else (see obs.go).
 	obs *obsState
-	// led is the attribution ledger (nil unless ObsConfig.Attrib): its
-	// methods are nil-receiver-safe, so hook sites call it bare — the
-	// disabled cost is one nil test inside the callee (see attrib.go).
+	// led is the request-lifecycle ledger (nil unless ObsConfig.Trace or
+	// Attrib): its methods are nil-receiver-safe, so hook sites call it
+	// bare — the disabled cost is one nil test inside the callee (see
+	// obs.go).
 	led *obs.Ledger
 }
 
@@ -110,8 +111,9 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 	}
 	if cfg.Obs.enabled() {
 		f.obs = newObsState(*cfg.Obs, cfg.Scenario, cfg.Core.FrequencyHz, len(cfg.Tenants))
-		if cfg.Obs.Attrib {
+		if cfg.Obs.Trace || cfg.Obs.Attrib {
 			f.led = obs.NewLedger(cfg.Scenario, cfg.Core.FrequencyHz)
+			f.led.Trace = f.obs.trace
 		}
 	}
 	cm := compiler.NewCostModel(cfg.Core)

@@ -466,10 +466,7 @@ func (c *continuousLLM) admit(r *replica, q *slotQueue, now sim.Time) []*llmSeq 
 		t.llm.admitted++
 		t.llm.promptTokens += int64(req.prompt)
 		t.llm.outputTokens += int64(req.output)
-		if f.obs != nil {
-			f.obs.trace.End("queue", "req", t.cfg.Name, float64(now), req.id)
-			f.obs.trace.Begin("prefill", "req", t.cfg.Name, float64(now), req.id)
-		}
+		f.reqPrefill(t, &req, now)
 	}
 	if len(q.reqs) > 0 && len(q.running) < t.cfg.MaxBatch {
 		t.llm.kvStalls++
@@ -493,7 +490,6 @@ func (c *continuousLLM) launchPrefill(r *replica, q *slotQueue, kind batchKind, 
 	if len(joined) == 0 {
 		panic("serve: prefill launch admitted no sequence")
 	}
-	f.ledPrefillSeqs(t, joined, now)
 	if kind == kindLLMStaticPrefill {
 		t.llm.staticBatches++
 	}
@@ -598,7 +594,7 @@ func (c *continuousLLM) finishDecode(r *replica, b *batch, now sim.Time) {
 		t.llm.tokensOut++
 		if s.produced >= s.req.output {
 			f.completeSeq(r, t, s, now)
-		} else if f.led != nil {
+		} else {
 			f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegDecodeGap, float64(now))
 		}
 	}
@@ -681,23 +677,13 @@ func (f *fleet) emitFirstToken(t *tenantState, s *llmSeq, now sim.Time) {
 		t.llm.ttft.Add(float64(now - s.req.at))
 	}
 	t.llm.tokensOut++
-	if f.led != nil {
-		f.led.ReqFirstToken(t.cfg.Name, s.req.id, float64(now))
-		if s.produced < s.req.output {
-			f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegDecodeGap, float64(now))
-		}
-	}
+	more := s.produced < s.req.output
+	f.led.ReqFirstToken(t.cfg.Name, s.req.id, float64(now), !more)
 	if f.obs != nil {
-		// Disaggregated prefill already closed its phase at prefDone
-		// (finishDisaggPrefill); here the first token lands after the
-		// migration, so only the decode phase opens.
-		if t.disagg() == nil {
-			f.obs.trace.End("prefill", "req", t.cfg.Name, float64(now), s.req.id)
-		}
 		f.obs.trace.Instant("first-token", "req", t.cfg.Name, obsTrackControl, float64(now), s.req.id, "ttft_us", int64(float64(now-s.req.at)/f.cfg.Core.FrequencyHz*1e6), "", "")
-		if s.produced < s.req.output {
-			f.obs.trace.Begin("decode", "req", t.cfg.Name, float64(now), s.req.id)
-		}
+	}
+	if more {
+		f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegDecodeGap, float64(now))
 	}
 }
 
@@ -727,14 +713,7 @@ func (f *fleet) completeSeq(r *replica, t *tenantState, s *llmSeq, now sim.Time)
 		f.prioLat[t.cfg.Priority].Add(lat)
 	}
 	t.completed++
-	f.led.ReqDone(t.cfg.Name, s.req.id, float64(now), s.produced)
-	if f.obs != nil {
-		f.obsCompletion(t, lat)
-		if s.req.output > 1 {
-			f.obs.trace.End("decode", "req", t.cfg.Name, float64(now), s.req.id)
-		}
-		f.obs.trace.Instant("complete", "req", t.cfg.Name, obsTrackControl, float64(now), s.req.id, "lat_us", int64(lat/f.cfg.Core.FrequencyHz*1e6), "", "")
-	}
+	f.reqDone(t, s.req.id, lat, s.produced, now)
 	if s.req.output > 1 {
 		tpot := float64(now-s.ttftAt) / float64(s.req.output-1)
 		t.llm.tpot.Add(tpot)

@@ -1,22 +1,34 @@
 package serve
 
 // Observability wiring for the serving simulator (see internal/obs and
-// docs/OBSERVABILITY.md): request-lifecycle tracing plus a sampled
-// timeline registry, both driven by the sim clock.
+// docs/OBSERVABILITY.md): the request-lifecycle ledger, whose segment
+// transitions also drive the trace's async phases, plus a sampled
+// timeline registry, all driven by the sim clock. The hooks every call
+// site follows:
 //
-// The contract every hook site in serve.go / slot.go / llm.go /
-// disagg.go / fault.go / autoscale.go follows:
-//
-//   - f.obs == nil is the disabled state. Every hook is guarded by that
-//     one nil check, and all argument computation (string formatting,
-//     counter lookups) happens INSIDE the guard, so a disabled run
-//     executes no observability code, allocates nothing, and schedules
-//     no extra events — its engine event stream, report and JSON are
-//     byte-identical to a build without this file.
-//   - When enabled, events and samples are recorded by the run's own
+//   - A request's lifecycle state lives only in its obs.Ledger record.
+//     Each lifecycle change is one call — ReqStart, ReqSeg (or ledSeqs,
+//     ledStall, reqPrefill), emitFirstToken, ReqHalt, reqDone, reqLost
+//     — and the ledger emits the trace's Begin/End pairs from its
+//     segment→phase table. Call sites add only their Instant/Span events.
+//   - f.obs == nil and f.led == nil are the disabled states. Ledger
+//     methods are nil-receiver-safe; every other hook sits behind one
+//     nil check with all argument computation inside it, so a disabled
+//     run executes no observability code and allocates nothing.
+//   - The ledger runs whenever Trace or Attrib is on; only Attrib adds
+//     the attribution report sections, the ledger export and the
+//     attrib_dom timeline, so trace bytes never depend on Attrib.
+//   - Events, samples and records are made by the run's own
 //     single-threaded event loop in creation order, stamped with sim
-//     cycles only. Parallel scenario legs each own a private obsState,
-//     so traces are byte-identical at any worker count.
+//     cycles only, and each parallel scenario leg owns its obsState and
+//     ledger, so exports are byte-identical at any worker count.
+//
+// Segment flow: arrive → SegQueue → [SegKVStall] → SegService → done
+// (single-shot), or → SegPrefill/SegReplay/SegCrashReplay → SegDecodeGap
+// ⇄ SegDecode → done (LLM), with excursions for chunked prefill,
+// migration, paged eviction and swap, preemption and crash recovery.
+// Every transition closes the open interval into the outgoing segment,
+// so the segments sum exactly to completion − arrival (ReqDone checks).
 
 import (
 	"fmt"
@@ -30,8 +42,9 @@ import (
 // ObsConfig switches observability on for a run. The zero value (and a
 // nil pointer) disables everything.
 type ObsConfig struct {
-	// Trace records per-request lifecycle spans and control/fault
-	// instants, exported as Chrome trace-event JSON (Perfetto).
+	// Trace records per-request lifecycle phases (derived from the
+	// ledger's segments), execution slices and control/fault instants,
+	// exported as Chrome trace-event JSON (Perfetto).
 	Trace bool
 	// Timelines samples queue depth, KV occupancy, fleet/pool sizes,
 	// link utilization/backlog and attainment every SampleEveryMs.
@@ -42,10 +55,11 @@ type ObsConfig struct {
 	// WindowSamples is the sliding-window width, in samples, of the
 	// derived windowed-attainment series (default 20).
 	WindowSamples int
-	// Attrib switches the attribution ledger on (obs.Ledger): exact
+	// Attrib reports the attribution ledger (obs.Ledger): exact
 	// per-request segment accounting and the fleet cycle ledger, with
-	// conservation checked in-sim. Adds the attribution report sections
-	// and the per-tenant attrib_dom timeline (when Timelines is also on).
+	// conservation checked in-sim. Adds the attribution report sections,
+	// Report.Ledger and the per-tenant attrib_dom timeline (when
+	// Timelines is also on).
 	Attrib bool
 }
 
@@ -150,14 +164,110 @@ func (f *fleet) obsRegisterReplica(r *replica) {
 		fmt.Sprintf("replica %d (%s, chip %d)", r.id, r.role, r.vnpu.Mapping.PNPU))
 }
 
-// obsCompletion folds one finished request into the attainment counters
-// and the rolling latency histogram. lat is in cycles.
-func (f *fleet) obsCompletion(t *tenantState, lat float64) {
-	if lat <= t.sloCycles {
-		f.obs.sloOK[t.idx]++
+// ledBusyBucket maps a batch kind to the fleet-cycle bucket its
+// compute occupies.
+func ledBusyBucket(k batchKind) obs.Bucket {
+	switch k {
+	case kindInvoke:
+		return obs.BucketService
+	case kindLLMPrefill, kindLLMStaticPrefill:
+		return obs.BucketPrefill
+	default:
+		return obs.BucketDecode
 	}
-	if f.obs.tl != nil {
-		f.obs.hist[t.idx].Add(lat / f.cfg.Core.FrequencyHz * 1e3)
+}
+
+// ledSeqs transitions every sequence of a batch into seg.
+func (f *fleet) ledSeqs(t *tenantState, seqs []*llmSeq, seg obs.Segment, now sim.Time) {
+	if f.led == nil {
+		return
+	}
+	for _, s := range seqs {
+		f.led.ReqSeg(t.cfg.Name, s.req.id, seg, float64(now))
+	}
+}
+
+// reqPrefill transitions a request into its prompt-compute segment:
+// crash replays and eviction replays re-earn their lost tokens under
+// their own labels, so "prefill" stays first-pass work.
+func (f *fleet) reqPrefill(t *tenantState, req *request, now sim.Time) {
+	if f.led == nil {
+		return
+	}
+	seg := obs.SegPrefill
+	if req.crashed {
+		seg = obs.SegCrashReplay
+	} else if req.replay {
+		seg = obs.SegReplay
+	}
+	f.led.ReqSeg(t.cfg.Name, req.id, seg, float64(now))
+}
+
+// ledStall marks the queue head KV-stalled: admissible but for blocks.
+func (f *fleet) ledStall(t *tenantState, req request, now sim.Time) {
+	f.led.ReqSeg(t.cfg.Name, req.id, obs.SegKVStall, float64(now))
+}
+
+// reqDone closes a completed request (lat in cycles): the ledger record,
+// the attainment counters, the rolling latency histogram and the
+// complete instant.
+func (f *fleet) reqDone(t *tenantState, id int64, lat float64, out int, now sim.Time) {
+	f.led.ReqDone(t.cfg.Name, id, float64(now), out)
+	o := f.obs
+	if o == nil {
+		return
+	}
+	if lat <= t.sloCycles {
+		o.sloOK[t.idx]++
+	}
+	if o.tl != nil {
+		o.hist[t.idx].Add(lat / f.cfg.Core.FrequencyHz * 1e3)
+	}
+	o.trace.Instant("complete", "req", t.cfg.Name, obsTrackControl, float64(now), id, "lat_us", int64(lat/f.cfg.Core.FrequencyHz*1e6), "", "")
+}
+
+// reqLost drops a request lost to a crash: counted, its record
+// discarded, and a crash-lost instant carrying why.
+func (f *fleet) reqLost(t *tenantState, id int64, ak string, av int64, reason string, now sim.Time) {
+	t.crashLost++
+	f.led.ReqDrop(t.cfg.Name, id, float64(now))
+	if f.obs != nil {
+		f.obs.trace.Instant("crash-lost", "fault", t.cfg.Name, obsTrackControl, float64(now), id, ak, av, "reason", reason)
+	}
+}
+
+// ledRepIdle re-marks an unoccupied replica's standing bucket:
+// draining, doing wire work (inbound KV transfers), or plain idle.
+// No-op while a batch runs — startSegment owns the busy buckets.
+func (f *fleet) ledRepIdle(r *replica, now sim.Time) {
+	if f.led == nil || r.cur != nil {
+		return
+	}
+	b := obs.BucketIdle
+	if r.draining {
+		b = obs.BucketDrain
+	} else if r.inbound > 0 {
+		b = obs.BucketMigration
+	}
+	f.led.RepMark(r.uid, b, float64(now))
+}
+
+// ledPark parks every request of a suspended batch in SegPreempt, or
+// restores them on resume. The ledger remembers the parked segment, so
+// a preempted decode gap resumes as a decode gap.
+func (f *fleet) ledPark(b *batch, now sim.Time, suspend bool) {
+	if f.led == nil {
+		return
+	}
+	park := f.led.ReqResume
+	if suspend {
+		park = f.led.ReqSuspend
+	}
+	for i := range b.reqs {
+		park(b.ten.cfg.Name, b.reqs[i].id, float64(now))
+	}
+	for _, s := range b.seqs {
+		park(b.ten.cfg.Name, s.req.id, float64(now))
 	}
 }
 
@@ -227,7 +337,7 @@ func (f *fleet) obsSample(now float64) {
 		// Dominant-blame share over the sliding window: the largest
 		// segment's fraction of all attributed cycles completed in the
 		// last WindowSamples ticks (0 while the window saw no completion).
-		if f.led != nil {
+		if o.cfg.Attrib {
 			if o.attribWin == nil {
 				o.attribWin = make([][]segSnap, len(f.tenants))
 			}

@@ -148,8 +148,6 @@ func (f *fleet) evictSeq(r *replica, q *slotQueue, s *llmSeq, now sim.Time) {
 	q.reqs[0] = req
 	f.led.ReqSeg(t.cfg.Name, req.id, obs.SegQueue, float64(now))
 	if f.obs != nil {
-		f.obs.trace.End("decode", "req", t.cfg.Name, float64(now), s.req.id)
-		f.obs.trace.Begin("queue", "req", t.cfg.Name, float64(now), req.id)
 		f.obs.trace.Instant("kv-evict", "sched", t.cfg.Name, obsReplicaTrack(r), float64(now), s.req.id,
 			"lost_tokens", int64(s.ctx-s.hit), "mode", KVEvictRecompute)
 	}

@@ -106,21 +106,11 @@ func (f *fleet) crashReplicas(victims []*replica, now sim.Time) {
 			case srcDead:
 				// The payload's source pages died mid-copy: the sequence's
 				// KV is gone wherever the transfer was headed.
-				if f.obs != nil {
-					ph := "migrate"
-					if fl.evac {
-						ph = "evac"
-					}
-					f.obs.trace.End(ph, "req", t.cfg.Name, float64(now), fl.seq.req.id)
-				}
 				fl.src.queueFor(t).removeRunning(fl.seq)
 				f.crashSeqOutcome(t, fl.seq, &out, now)
 			case fl.evac:
 				// Target died under an evacuation: the sequence never left
 				// the source — unfreeze it and let the source keep decoding.
-				if f.obs != nil {
-					f.obs.trace.End("evac", "req", t.cfg.Name, float64(now), fl.seq.req.id)
-				}
 				fl.seq.migrating = false
 				f.led.ReqSeg(t.cfg.Name, fl.seq.req.id, obs.SegDecodeGap, float64(now))
 				pokes = append(pokes, pokeSrc{fl.src})
@@ -142,9 +132,6 @@ func (f *fleet) crashReplicas(victims []*replica, now sim.Time) {
 			keptQ := t.llm.migQ[:0]
 			for _, m := range t.llm.migQ {
 				if m.from.retired {
-					if f.obs != nil {
-						f.obs.trace.End("migrate", "req", t.cfg.Name, float64(now), m.seq.req.id)
-					}
 					m.from.queueFor(t).removeRunning(m.seq)
 					f.crashSeqOutcome(t, m.seq, &out, now)
 					continue
@@ -239,9 +226,7 @@ func (f *fleet) destroyReplica(r *replica, now sim.Time, out *[]harvested) {
 		b.ten.issuedServiceCycles -= b.remaining
 		if b.kind == kindInvoke {
 			for _, req := range b.reqs {
-				if f.obs != nil {
-					f.obs.trace.End("service", "req", b.ten.cfg.Name, float64(now), req.id)
-				}
+				f.led.ReqHalt(b.ten.cfg.Name, req.id, float64(now))
 				*out = append(*out, harvested{b.ten, req})
 			}
 		}
@@ -264,9 +249,7 @@ func (f *fleet) destroyReplica(r *replica, now sim.Time, out *[]harvested) {
 		q := &r.qs[i]
 		qt := q.ten
 		for _, req := range q.reqs {
-			if f.obs != nil {
-				f.obs.trace.End("queue", "req", qt.cfg.Name, float64(now), req.id)
-			}
+			f.led.ReqHalt(qt.cfg.Name, req.id, float64(now))
 			*out = append(*out, harvested{qt, req})
 		}
 		q.reqs = q.reqs[:0]
@@ -304,19 +287,7 @@ func (f *fleet) destroyReplica(r *replica, now sim.Time, out *[]harvested) {
 // the prompt) or fail, per the plan's CrashPolicy. The KV tokens lost —
 // everything resident at the crash — are itemized as recompute debt.
 func (f *fleet) crashSeqOutcome(t *tenantState, s *llmSeq, out *[]harvested, now sim.Time) {
-	if f.obs != nil {
-		// Close whichever lifecycle phase the crash interrupted: prefill
-		// when the prompt was still being processed (a disaggregated
-		// handoff's prefill phase already closed at prefDone, and its
-		// migrate phase is closed by the caller), decode when the sequence
-		// was mid-generation.
-		switch {
-		case !s.prefilled && s.prefDone == 0:
-			f.obs.trace.End("prefill", "req", t.cfg.Name, float64(now), s.req.id)
-		case s.prefilled && s.req.output > 1:
-			f.obs.trace.End("decode", "req", t.cfg.Name, float64(now), s.req.id)
-		}
-	}
+	f.led.ReqHalt(t.cfg.Name, s.req.id, float64(now))
 	lost := 0
 	if s.prefilled {
 		lost = s.ctx // prompt + produced so far
@@ -324,12 +295,7 @@ func (f *fleet) crashSeqOutcome(t *tenantState, s *llmSeq, out *[]harvested, now
 		lost = s.promptDone // chunked-prefill progress
 	}
 	if s.produced > 0 && f.cfg.Faults.Policy == CrashFail {
-		t.crashLost++
-		f.led.ReqDrop(t.cfg.Name, s.req.id)
-		if f.obs != nil {
-			f.obs.trace.Instant("crash-lost", "fault", t.cfg.Name, obsTrackControl, float64(now), s.req.id,
-				"produced", int64(s.produced), "reason", "policy-fail")
-		}
+		f.reqLost(t, s.req.id, "produced", int64(s.produced), "policy-fail", now)
 		return
 	}
 	req := s.req
@@ -358,27 +324,16 @@ func (f *fleet) requeue(h harvested, now sim.Time) {
 	t := h.ten
 	r := f.route(t)
 	if r == nil {
-		t.crashLost++
-		f.led.ReqDrop(t.cfg.Name, h.req.id)
-		if f.obs != nil {
-			f.obs.trace.Instant("crash-lost", "fault", t.cfg.Name, obsTrackControl, float64(now), h.req.id,
-				"", 0, "reason", "no-replica")
-		}
+		f.reqLost(t, h.req.id, "", 0, "no-replica", now)
 		return
 	}
 	q := r.queueFor(t)
 	if len(q.reqs) >= t.cfg.QueueCap {
-		t.crashLost++
-		f.led.ReqDrop(t.cfg.Name, h.req.id)
-		if f.obs != nil {
-			f.obs.trace.Instant("crash-lost", "fault", t.cfg.Name, obsTrackControl, float64(now), h.req.id,
-				"", 0, "reason", "queue-cap")
-		}
+		f.reqLost(t, h.req.id, "", 0, "queue-cap", now)
 		return
 	}
 	if f.obs != nil {
 		f.obs.trace.Instant("crash-requeue", "fault", t.cfg.Name, obsTrackControl, float64(now), h.req.id, "", 0, "", "")
-		f.obs.trace.Begin("queue", "req", t.cfg.Name, float64(now), h.req.id)
 	}
 	f.led.ReqSeg(t.cfg.Name, h.req.id, obs.SegCrashRequeue, float64(now))
 	q.reqs = append(q.reqs, h.req)
@@ -494,7 +449,6 @@ func (f *fleet) beginEvacuation(src, dst *replica, s *llmSeq, now sim.Time) {
 		func(now sim.Time) { f.finishEvacuation(fl, now) })
 	t.llm.migInflight = append(t.llm.migInflight, fl)
 	if f.obs != nil {
-		f.obs.trace.Begin("evac", "req", t.cfg.Name, float64(now), s.req.id)
 		f.obs.trace.Instant("evac-start", "fault", t.cfg.Name, obsTrackControl, float64(now), s.req.id,
 			"bytes", bytes, "link", fmt.Sprintf("chip%d→chip%d", src.vnpu.Mapping.PNPU, dst.vnpu.Mapping.PNPU))
 	}
@@ -517,9 +471,6 @@ func (f *fleet) finishEvacuation(fl *migFlight, now sim.Time) {
 	dst.queueFor(t).running = append(dst.queueFor(t).running, s)
 	t.llm.evacLanded++
 	t.llm.evacBytes += fl.bytes
-	if f.obs != nil {
-		f.obs.trace.End("evac", "req", t.cfg.Name, float64(now), s.req.id)
-	}
 	// Freed source blocks may admit a parked migration; both ends have
 	// fresh scheduling state.
 	f.drainMigQ(t, now)

@@ -69,9 +69,6 @@ func (f *fleet) arrive(t *tenantState, now sim.Time) {
 		}
 		return
 	}
-	if f.obs != nil {
-		f.obs.trace.Begin("queue", "req", t.cfg.Name, float64(now), req.id)
-	}
 	f.led.ReqStart(t.cfg.Name, req.id, float64(now))
 	q.reqs = append(q.reqs, req)
 	if len(q.reqs) > t.maxQueue {

@@ -338,7 +338,7 @@ func (f *fleet) suspend(r *replica, b *batch, rp sched.ResumePoint, now sim.Time
 	r.cur = nil
 	b.waiting, b.waitFrom = true, now
 	r.susp = append(r.susp, b)
-	f.ledSuspend(b, now)
+	f.ledPark(b, now, true)
 	// The preemptor pays the victim's checkpoint save before it runs.
 	f.launch(r, q, kind, now, sw)
 }
@@ -362,6 +362,6 @@ func (f *fleet) resume(r *replica, b *batch, now sim.Time) {
 	if f.obs != nil {
 		f.obs.trace.Instant("resume", "sched", r.ten.cfg.Name, obsReplicaTrack(r), float64(now), -1, "preempts", int64(b.preempts), "victim", t.cfg.Name)
 	}
-	f.ledResume(b, now)
+	f.ledPark(b, now, false)
 	f.startSegment(r, b, now)
 }
