@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"neu10/internal/arch"
 	"neu10/internal/sched"
 	"neu10/internal/workload"
 )
@@ -32,46 +33,42 @@ func (r *AblationHarvestResult) Table() string {
 	return "Ablation — harvesting mechanisms (aggregate throughput / Neu10-NH)\n" + tab.String()
 }
 
-// AblationHarvest runs the harvest-mechanism ablation over all pairs,
-// one worker-pool job per pair (four simulations each).
+// AblationHarvest runs the harvest-mechanism ablation over all pairs:
+// four simulations per pair, fanned across the worker pool.
 func (r *Runner) AblationHarvest() (*AblationHarvestResult, error) {
 	pairs := workload.Pairs()
-	gains, err := parMapPairs(r.workers(), pairs, func(_ int, p workload.Pair) ([3]float64, error) {
-		specs, err := r.comp.Tenants(p, sched.Neu10, r.opts.Core.MEs/2, r.opts.Core.VEs/2)
+	// variants are full Neu10 and Neu10 with each mechanism disabled.
+	variants := func(p workload.Pair) []simKey {
+		full := pairKey(p, sched.Neu10, r.opts.Core)
+		noME, noVE := full, full
+		noME.noMEHarvest = true
+		noVE.noVEHarvest = true
+		return []simKey{full, noME, noVE}
+	}
+	var keys []simKey
+	for _, p := range pairs {
+		keys = append(keys, pairKey(p, sched.NeuNH, r.opts.Core))
+		keys = append(keys, variants(p)...)
+	}
+	r.prefetch(keys)
+	out := &AblationHarvestResult{Gains: map[string][3]float64{}}
+	for _, p := range pairs {
+		base, err := r.runPair(p, sched.NeuNH, r.opts.Core)
 		if err != nil {
-			return [3]float64{}, err
-		}
-		base, err := r.runPair(p, sched.NeuNH, r.opts.Core, false)
-		if err != nil {
-			return [3]float64{}, err
-		}
-		agg := func(res *sched.Result) float64 {
-			var s float64
-			for w := 0; w < 2; w++ {
-				s += res.Tenants[w].Throughput / base.Tenants[w].Throughput
-			}
-			return s / 2
+			return nil, err
 		}
 		var gains [3]float64
-		for i, cfg := range []sched.Config{
-			{Core: r.opts.Core, Policy: sched.Neu10, Requests: r.opts.Requests},
-			{Core: r.opts.Core, Policy: sched.Neu10, Requests: r.opts.Requests, DisableMEHarvest: true},
-			{Core: r.opts.Core, Policy: sched.Neu10, Requests: r.opts.Requests, DisableVEHarvest: true},
-		} {
-			res, err := sched.Run(cfg, specs)
+		for i, k := range variants(p) {
+			res, err := r.simulate(k)
 			if err != nil {
-				return [3]float64{}, fmt.Errorf("%s ablation %d: %w", p.Name(), i, err)
+				return nil, fmt.Errorf("%s ablation %d: %w", p.Name(), i, err)
 			}
-			gains[i] = agg(res)
+			for w := 0; w < 2; w++ {
+				gains[i] += res.Tenants[w].Throughput / base.Tenants[w].Throughput
+			}
+			gains[i] /= 2
 		}
-		return gains, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &AblationHarvestResult{Gains: map[string][3]float64{}}
-	for i, p := range pairs {
-		out.Gains[p.Name()] = gains[i]
+		out.Gains[p.Name()] = gains
 	}
 	return out, nil
 }
@@ -95,8 +92,9 @@ func (r *AblationPreemptResult) Table() string {
 }
 
 // AblationPreempt sweeps the reclaim penalty from free to 64x the
-// paper's value. The (cost, pair) grid cells fan across the worker
-// pool; per-cost aggregation walks the results in grid order so the
+// paper's value. The NeuNH baselines do not depend on the preemption
+// cost and are shared with the pair study, as is the 256-cycle column.
+// Per-cost aggregation walks the grid in (cost, pair) order so the
 // floating-point accumulation matches the sequential sweep exactly.
 func (r *Runner) AblationPreempt() (*AblationPreemptResult, error) {
 	out := &AblationPreemptResult{
@@ -104,64 +102,42 @@ func (r *Runner) AblationPreempt() (*AblationPreemptResult, error) {
 		PerCost: map[int][2]float64{},
 	}
 	pairs := workload.Pairs()
-	// The NeuNH baseline does not depend on the preemption cost: run it
-	// once per pair instead of once per grid cell.
-	baselines, err := parMapPairs(r.workers(), pairs, func(_ int, p workload.Pair) (*sched.Result, error) {
-		return r.runPair(p, sched.NeuNH, r.opts.Core, false)
-	})
-	if err != nil {
-		return nil, err
-	}
-	type gridCell struct {
-		cost int
-		pi   int
-	}
-	type cellResult struct {
-		gain    [2]float64
-		blocked [2]float64
-	}
-	var cells []gridCell
-	for _, cost := range out.Costs {
-		for pi := range pairs {
-			cells = append(cells, gridCell{cost, pi})
-		}
-	}
-	results, err := parMapPairs(r.workers(), cells, func(_ int, c gridCell) (cellResult, error) {
+	withCost := func(cost int) arch.CoreConfig {
 		core := r.opts.Core
-		core.MEPreemptCycles = c.cost
-		comp, err := r.compiledFor(core)
-		if err != nil {
-			return cellResult{}, err
-		}
-		specs, err := comp.Tenants(pairs[c.pi], sched.Neu10, core.MEs/2, core.VEs/2)
-		if err != nil {
-			return cellResult{}, err
-		}
-		n10, err := sched.Run(sched.Config{Core: core, Policy: sched.Neu10, Requests: r.opts.Requests}, specs)
-		if err != nil {
-			return cellResult{}, err
-		}
-		nh := baselines[c.pi]
-		var cr cellResult
-		for w := 0; w < 2; w++ {
-			cr.gain[w] = n10.Tenants[w].Throughput / nh.Tenants[w].Throughput
-			cr.blocked[w] = n10.Tenants[w].HarvestBlocked / n10.DurationCycles
-		}
-		return cr, nil
-	})
-	if err != nil {
-		return nil, err
+		core.MEPreemptCycles = cost
+		return core
 	}
-	for ci, cost := range out.Costs {
+	var keys []simKey
+	for _, p := range pairs {
+		keys = append(keys, pairKey(p, sched.NeuNH, r.opts.Core))
+	}
+	for _, cost := range out.Costs {
+		for _, p := range pairs {
+			keys = append(keys, pairKey(p, sched.Neu10, withCost(cost)))
+		}
+	}
+	r.prefetch(keys)
+	baselines := make([]*sched.Result, len(pairs))
+	for pi, p := range pairs {
+		nh, err := r.runPair(p, sched.NeuNH, r.opts.Core)
+		if err != nil {
+			return nil, err
+		}
+		baselines[pi] = nh
+	}
+	for _, cost := range out.Costs {
 		var gainSum, worstBlocked float64
 		n := 0
-		for pi := range pairs {
-			cr := results[ci*len(pairs)+pi]
+		for pi, p := range pairs {
+			n10, err := r.runPair(p, sched.Neu10, withCost(cost))
+			if err != nil {
+				return nil, err
+			}
 			for w := 0; w < 2; w++ {
-				gainSum += cr.gain[w]
+				gainSum += n10.Tenants[w].Throughput / baselines[pi].Tenants[w].Throughput
 				n++
-				if cr.blocked[w] > worstBlocked {
-					worstBlocked = cr.blocked[w]
+				if blocked := n10.Tenants[w].HarvestBlocked / n10.DurationCycles; blocked > worstBlocked {
+					worstBlocked = blocked
 				}
 			}
 		}

@@ -23,7 +23,9 @@ type Options struct {
 	Core arch.CoreConfig
 	// Requests per tenant for steady-state runs (paper methodology).
 	Requests int
-	// SampleEvery controls timeline resolution in cycles.
+	// SampleEvery controls timeline resolution in cycles (> 0): Fig. 7
+	// reads the HBM timeline and Fig. 24 the ME/VE ones, and a
+	// simulation records them only when sampling.
 	SampleEvery float64
 	// Workers sizes the worker pool the sweeps fan out over:
 	// 0 = GOMAXPROCS, 1 = fully sequential. Results are byte-identical
@@ -64,13 +66,15 @@ type Runner struct {
 	opts Options
 	comp *workload.Compiled
 
-	// pairStudy caches the shared Fig. 19-22 / Table III sweep (pairMu
-	// also single-flights its computation); compCache holds
-	// per-core-config compilation caches for the sweeps.
-	pairMu    sync.Mutex
-	pairStudy *PairStudyResult
-	compMu    sync.Mutex
-	compCache map[string]*workload.Compiled
+	// sims is the simulation memo every pair figure reads (memo.go);
+	// compCache holds per-core-config compilation caches for the
+	// sweeps; memoMu guards both maps. onSimulate, when non-nil, is
+	// invoked before every pair simulation actually runs — a test hook
+	// that counts them.
+	memoMu     sync.Mutex
+	sims       map[simKey]*simEntry
+	compCache  map[arch.CoreConfig]*workload.Compiled
+	onSimulate func(simKey)
 
 	// serveDB memoizes measured invocation costs for the online-serving
 	// scenarios (serve.go); lazily built, shared across the worker pool.
@@ -85,6 +89,9 @@ func (r *Runner) workers() int { return r.opts.Workers }
 func NewRunner(opts Options) (*Runner, error) {
 	if opts.Requests < 1 {
 		return nil, fmt.Errorf("experiments: requests %d", opts.Requests)
+	}
+	if opts.SampleEvery <= 0 {
+		return nil, fmt.Errorf("experiments: sample period %v cycles", opts.SampleEvery)
 	}
 	comp, err := workload.NewCompiled(opts.Core)
 	if err != nil {
@@ -127,7 +134,8 @@ func (r *Runner) Run(id string) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return pr.view(id), nil
+		pr.id = id
+		return pr, nil
 	case "fig23":
 		return r.Fig23Breakdown()
 	case "fig24":
@@ -175,8 +183,8 @@ func (r *Runner) Run(id string) (Result, error) {
 
 // RunMany executes several experiments, fanning them across the worker
 // pool on top of each experiment's own internal parallelism. Results
-// are returned in the order of ids; the fig19-22/table3 views share one
-// pair-study sweep exactly as they do sequentially (the memo is
+// are returned in the order of ids; experiments that share simulations
+// run each of them once, exactly as they do sequentially (the memo is
 // single-flighted).
 func (r *Runner) RunMany(ids []string) ([]Result, error) {
 	return parMapPairs(r.workers(), ids, func(_ int, id string) (Result, error) {
@@ -188,53 +196,36 @@ func (r *Runner) RunMany(ids []string) ([]Result, error) {
 	})
 }
 
-// runPair runs one pair under one policy with evenly split vNPUs.
-// Workloads are compiled for the exact core configuration: the number of
-// µTOps per operator and the V10 complex width both depend on it.
-func (r *Runner) runPair(p workload.Pair, policy sched.Mode, core arch.CoreConfig, sample bool) (*sched.Result, error) {
-	comp, err := r.compiledFor(core)
-	if err != nil {
-		return nil, err
-	}
-	mes, ves := core.MEs/2, core.VEs/2
-	if mes < 1 {
-		mes = 1
-	}
-	if ves < 1 {
-		ves = 1
-	}
-	specs, err := comp.Tenants(p, policy, mes, ves)
-	if err != nil {
-		return nil, err
-	}
-	cfg := sched.Config{Core: core, Policy: policy, Requests: r.opts.Requests}
-	if sample {
-		cfg.SampleEvery = r.opts.SampleEvery
-	}
-	return sched.Run(cfg, specs)
-}
-
-// compiledFor returns a compilation cache for an arbitrary core config,
-// reusing the default one when it matches.
+// compiledFor returns a compilation cache for an arbitrary core config.
+// The compiler reads every field but MEPreemptCycles (a scheduler-only
+// cost), so caches are keyed by the config with that field cleared and
+// the default cache serves every config that differs from the runner's
+// core only there.
 func (r *Runner) compiledFor(core arch.CoreConfig) (*workload.Compiled, error) {
-	if core == r.opts.Core {
+	core = compileKey(core)
+	if core == compileKey(r.opts.Core) {
 		return r.comp, nil
 	}
-	key := fmt.Sprintf("%d/%d/%.0f", core.MEs, core.VEs, core.HBMBwBytes)
-	r.compMu.Lock()
-	defer r.compMu.Unlock()
+	r.memoMu.Lock()
+	defer r.memoMu.Unlock()
 	if r.compCache == nil {
-		r.compCache = map[string]*workload.Compiled{}
+		r.compCache = map[arch.CoreConfig]*workload.Compiled{}
 	}
-	if c, ok := r.compCache[key]; ok {
+	if c, ok := r.compCache[core]; ok {
 		return c, nil
 	}
 	c, err := workload.NewCompiled(core)
 	if err != nil {
 		return nil, err
 	}
-	r.compCache[key] = c
+	r.compCache[core] = c
 	return c, nil
+}
+
+// compileKey is the part of a core config the compiler reads.
+func compileKey(core arch.CoreConfig) arch.CoreConfig {
+	core.MEPreemptCycles = 0
+	return core
 }
 
 // ---- small text-table helper ----

@@ -42,13 +42,6 @@ type PairStudyResult struct {
 	id      string
 }
 
-// view returns a shallow copy presenting as the given figure id.
-func (r *PairStudyResult) view(id string) *PairStudyResult {
-	c := *r
-	c.id = id
-	return &c
-}
-
 func (r *PairStudyResult) Name() string {
 	if r.id == "" {
 		return "fig19"
@@ -147,33 +140,25 @@ func fmtOverhead(v float64) string {
 	return fmt.Sprintf("%.2f%%", v*100)
 }
 
-// PairStudy runs the nine pairs under the four policies — 36
-// independent scenario simulations fanned across the worker pool and
-// collected in (pair, policy) order, so the result is byte-identical to
-// the sequential sweep. Results are cached within the runner (and the
-// computation single-flighted) so fig19-22/table3 share one sweep.
+// PairStudy runs the nine pairs under the four policies: 36 pair
+// simulations fanned across the worker pool, then read from the
+// simulation memo in (pair, policy) order. Figs. 19-22 and Table III
+// are views of it, so after the first the study is 36 memo hits.
 func (r *Runner) PairStudy() (*PairStudyResult, error) {
-	r.pairMu.Lock()
-	defer r.pairMu.Unlock()
-	if r.pairStudy != nil {
-		return r.pairStudy, nil
-	}
-	type cell struct {
-		p   workload.Pair
-		pol sched.Mode
-	}
-	var cells []cell
+	var keys []simKey
 	for _, p := range workload.Pairs() {
 		for _, pol := range Policies() {
-			cells = append(cells, cell{p, pol})
+			keys = append(keys, pairKey(p, pol, r.opts.Core))
 		}
 	}
-	metrics, err := parMapPairs(r.workers(), cells, func(_ int, c cell) (PairMetrics, error) {
-		res, err := r.runPair(c.p, c.pol, r.opts.Core, false)
+	r.prefetch(keys)
+	out := &PairStudyResult{}
+	for _, k := range keys {
+		res, err := r.simulate(k)
 		if err != nil {
-			return PairMetrics{}, fmt.Errorf("%s/%s: %w", c.p.Name(), c.pol, err)
+			return nil, fmt.Errorf("%s/%s: %w", k.pair.Name(), k.policy, err)
 		}
-		pm := PairMetrics{Pair: c.p, Policy: c.pol, MEUtil: res.MEUtil, VEUtil: res.VEUtil}
+		pm := PairMetrics{Pair: k.pair, Policy: k.policy, MEUtil: res.MEUtil, VEUtil: res.VEUtil}
 		for w := 0; w < 2; w++ {
 			pm.P95[w] = res.Tenants[w].P95Latency
 			pm.Mean[w] = res.Tenants[w].MeanLatency
@@ -182,13 +167,8 @@ func (r *Runner) PairStudy() (*PairStudyResult, error) {
 				pm.Blocked[w] = res.Tenants[w].HarvestBlocked / res.DurationCycles
 			}
 		}
-		return pm, nil
-	})
-	if err != nil {
-		return nil, err
+		out.Metrics = append(out.Metrics, pm)
 	}
-	out := &PairStudyResult{Metrics: metrics}
-	r.pairStudy = out
 	return out, nil
 }
 
@@ -224,17 +204,22 @@ func (r *Fig23Result) Table() string {
 }
 
 // Fig23Breakdown traces per-op durations under NH and Neu10 and reports
-// the speedup distribution. Each pair's NH/Neu10 run couple is one
-// worker-pool job.
+// the speedup distribution.
 func (r *Runner) Fig23Breakdown() (*Fig23Result, error) {
-	curves, err := parMapPairs(r.workers(), workload.Pairs(), func(_ int, p workload.Pair) (BreakdownCurve, error) {
-		nh, err := r.runPair(p, sched.NeuNH, r.opts.Core, false)
+	var keys []simKey
+	for _, p := range workload.Pairs() {
+		keys = append(keys, pairKey(p, sched.NeuNH, r.opts.Core), pairKey(p, sched.Neu10, r.opts.Core))
+	}
+	r.prefetch(keys)
+	out := &Fig23Result{}
+	for _, p := range workload.Pairs() {
+		nh, err := r.runPair(p, sched.NeuNH, r.opts.Core)
 		if err != nil {
-			return BreakdownCurve{}, err
+			return nil, err
 		}
-		n10, err := r.runPair(p, sched.Neu10, r.opts.Core, false)
+		n10, err := r.runPair(p, sched.Neu10, r.opts.Core)
 		if err != nil {
-			return BreakdownCurve{}, err
+			return nil, err
 		}
 		c := BreakdownCurve{Pair: p}
 		for w := 0; w < 2; w++ {
@@ -257,12 +242,9 @@ func (r *Runner) Fig23Breakdown() (*Fig23Result, error) {
 			}
 			c.MeanGain[w] = sum / float64(len(ratios))
 		}
-		return c, nil
-	})
-	if err != nil {
-		return nil, err
+		out.Curves = append(out.Curves, c)
 	}
-	return &Fig23Result{Curves: curves}, nil
+	return out, nil
 }
 
 // Fig. 24 — assigned MEs/VEs over time for three pairs under Neu10.
@@ -298,7 +280,7 @@ func (r *Runner) Fig24Timeline() (*Fig24Result, error) {
 		{W1: "DLRM", W2: "RtNt"}, {W1: "ENet", W2: "SMask"}, {W1: "RNRS", W2: "RtNt"},
 	}
 	perPair, err := parMapPairs(r.workers(), pairs, func(_ int, p workload.Pair) ([]TimelineStat, error) {
-		res, err := r.runPair(p, sched.Neu10, r.opts.Core, true)
+		res, err := r.simulate(simKey{pair: p, policy: sched.Neu10, core: r.opts.Core, sample: true})
 		if err != nil {
 			return nil, err
 		}

@@ -24,7 +24,7 @@ import (
 //   - on error, the error of the lowest-indexed failing job is
 //     returned — exactly the one a sequential loop would have hit
 //     first;
-//   - shared caches (compiled workloads, the pair-study memo) are
+//   - shared caches (compiled workloads, the simulation memo) are
 //     mutex-guarded and their contents are pure functions of their
 //     keys, so population order cannot leak into results.
 //

@@ -47,11 +47,11 @@ func (r *Fig25Result) Table() string {
 // normalized to its own V10 value then averaged (the paper normalizes
 // per workload).
 func (r *Runner) pairGain(p workload.Pair, core arch.CoreConfig) (float64, error) {
-	v10, err := r.runPair(p, sched.V10, core, false)
+	v10, err := r.runPair(p, sched.V10, core)
 	if err != nil {
 		return 0, err
 	}
-	n10, err := r.runPair(p, sched.Neu10, core, false)
+	n10, err := r.runPair(p, sched.Neu10, core)
 	if err != nil {
 		return 0, err
 	}
@@ -66,35 +66,49 @@ func (r *Runner) pairGain(p workload.Pair, core arch.CoreConfig) (float64, error
 	return sum / 2, nil
 }
 
-// pairThroughputs returns the per-workload throughputs of a pair under a
-// policy on the given core.
-func (r *Runner) pairThroughputs(p workload.Pair, pol sched.Mode, core arch.CoreConfig) ([2]float64, error) {
-	res, err := r.runPair(p, pol, core, false)
-	if err != nil {
-		return [2]float64{}, err
-	}
-	return [2]float64{res.Tenants[0].Throughput, res.Tenants[1].Throughput}, nil
+// gainKeys lists pairGain's two simulations.
+func gainKeys(p workload.Pair, core arch.CoreConfig) []simKey {
+	return []simKey{pairKey(p, sched.V10, core), pairKey(p, sched.Neu10, core)}
 }
 
-// Fig25Scaling sweeps the five hardware configurations over all pairs,
-// one worker-pool job per pair (each job runs its baseline plus the
-// ten per-config simulations).
+// Fig25Scaling sweeps the five hardware configurations over all pairs:
+// per pair, the V10 baseline on 2ME-2VE plus Neu10 and V10 on each
+// configuration, fanned across the worker pool one simulation per job.
 func (r *Runner) Fig25Scaling() (*Fig25Result, error) {
 	configs := [][2]int{{2, 2}, {4, 2}, {4, 4}, {8, 4}, {8, 8}}
 	pairs := workload.Pairs()
-	points, err := parMapPairs(r.workers(), pairs, func(_ int, p workload.Pair) (map[[2]int][2]float64, error) {
+	baseCore := r.opts.Core.WithEUs(2, 2)
+	var keys []simKey
+	for _, p := range pairs {
+		keys = append(keys, pairKey(p, sched.V10, baseCore))
+		for _, c := range configs {
+			core := r.opts.Core.WithEUs(c[0], c[1])
+			keys = append(keys, pairKey(p, sched.Neu10, core), pairKey(p, sched.V10, core))
+		}
+	}
+	r.prefetch(keys)
+	// tput returns the per-workload throughputs of a pair under a policy.
+	tput := func(p workload.Pair, pol sched.Mode, core arch.CoreConfig) ([2]float64, error) {
+		res, err := r.runPair(p, pol, core)
+		if err != nil {
+			return [2]float64{}, err
+		}
+		return [2]float64{res.Tenants[0].Throughput, res.Tenants[1].Throughput}, nil
+	}
+	out := &Fig25Result{Configs: configs, Points: map[string]map[[2]int][2]float64{}}
+	for _, p := range pairs {
 		pts := map[[2]int][2]float64{}
-		base, err := r.pairThroughputs(p, sched.V10, r.opts.Core.WithEUs(2, 2))
+		base, err := tput(p, sched.V10, baseCore)
 		if err != nil {
 			return nil, fmt.Errorf("%s baseline: %w", p.Name(), err)
 		}
 		for _, c := range configs {
 			core := r.opts.Core.WithEUs(c[0], c[1])
-			n10, err := r.pairThroughputs(p, sched.Neu10, core)
+			n10, err := tput(p, sched.Neu10, core)
 			if err != nil {
 				return nil, fmt.Errorf("%s %v: %w", p.Name(), c, err)
 			}
-			v10, err := r.pairThroughputs(p, sched.V10, core)
+			v10, err := tput(p, sched.V10, core)
 			if err != nil {
 				return nil, fmt.Errorf("%s %v: %w", p.Name(), c, err)
 			}
@@ -105,14 +119,7 @@ func (r *Runner) Fig25Scaling() (*Fig25Result, error) {
 			}
 			pts[c] = [2]float64{norm(n10), norm(v10)}
 		}
-		return pts, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Fig25Result{Configs: configs, Points: map[string]map[[2]int][2]float64{}}
-	for i, p := range pairs {
-		out.Points[p.Name()] = points[i]
+		out.Points[p.Name()] = pts
 	}
 	return out, nil
 }
@@ -145,38 +152,29 @@ func (r *Fig26Result) Table() string {
 }
 
 // Fig26Bandwidth sweeps bandwidth over the standard and memory pairs,
-// fanning the (pair, bandwidth) grid cells across the worker pool.
+// fanning the grid's simulations across the worker pool.
 func (r *Runner) Fig26Bandwidth() (*Fig26Result, error) {
 	out := &Fig26Result{
 		Bandwidths: []float64{900e9, 1200e9, 2000e9, 3000e9},
 		Points:     map[string]map[float64]float64{},
 	}
 	pairs := append(workload.MemoryPairs()[:2], workload.Pairs()...)
-	type gridCell struct {
-		p  workload.Pair
-		bw float64
-	}
-	var cells []gridCell
+	var keys []simKey
 	for _, p := range pairs {
 		for _, bw := range out.Bandwidths {
-			cells = append(cells, gridCell{p, bw})
+			keys = append(keys, gainKeys(p, r.opts.Core.WithHBMBandwidth(bw))...)
 		}
 	}
-	gains, err := parMapPairs(r.workers(), cells, func(_ int, c gridCell) (float64, error) {
-		gain, err := r.pairGain(c.p, r.opts.Core.WithHBMBandwidth(c.bw))
-		if err != nil {
-			return 0, fmt.Errorf("%s @%.0fGB/s: %w", c.p.Name(), c.bw/1e9, err)
+	r.prefetch(keys)
+	for _, p := range pairs {
+		out.Points[p.Name()] = map[float64]float64{}
+		for _, bw := range out.Bandwidths {
+			gain, err := r.pairGain(p, r.opts.Core.WithHBMBandwidth(bw))
+			if err != nil {
+				return nil, fmt.Errorf("%s @%.0fGB/s: %w", p.Name(), bw/1e9, err)
+			}
+			out.Points[p.Name()][bw] = gain
 		}
-		return gain, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range cells {
-		if out.Points[c.p.Name()] == nil {
-			out.Points[c.p.Name()] = map[float64]float64{}
-		}
-		out.Points[c.p.Name()][c.bw] = gains[i]
 	}
 	return out, nil
 }
@@ -220,28 +218,31 @@ func (r *Fig27Result) Table() string {
 	return "Fig. 27 — LLM (LLaMA2-13B) collocation: V10 vs Neu10\n" + tab.String()
 }
 
-// Fig27LLM runs the three LLaMA collocations under V10 and Neu10, one
-// worker-pool job per collocation.
+// Fig27LLM runs the three LLaMA collocations under V10 and Neu10.
 func (r *Runner) Fig27LLM() (*Fig27Result, error) {
-	points, err := parMapPairs(r.workers(), workload.MemoryPairs()[2:], func(_ int, p workload.Pair) (LLMPoint, error) {
-		v10, err := r.runPair(p, sched.V10, r.opts.Core, false)
+	pairs := workload.MemoryPairs()[2:]
+	var keys []simKey
+	for _, p := range pairs {
+		keys = append(keys, gainKeys(p, r.opts.Core)...)
+	}
+	r.prefetch(keys)
+	out := &Fig27Result{}
+	for _, p := range pairs {
+		v10, err := r.runPair(p, sched.V10, r.opts.Core)
 		if err != nil {
-			return LLMPoint{}, err
+			return nil, err
 		}
-		n10, err := r.runPair(p, sched.Neu10, r.opts.Core, false)
+		n10, err := r.runPair(p, sched.Neu10, r.opts.Core)
 		if err != nil {
-			return LLMPoint{}, err
+			return nil, err
 		}
-		return LLMPoint{
+		out.Points = append(out.Points, LLMPoint{
 			Pair:      p.Name(),
 			V10Tput:   [2]float64{v10.Tenants[0].Throughput, v10.Tenants[1].Throughput},
 			Neu10Tput: [2]float64{n10.Tenants[0].Throughput, n10.Tenants[1].Throughput},
 			V10MEUtil: v10.MEUtil, N10MEUtil: n10.MEUtil,
 			V10VEUtil: v10.VEUtil, N10VEUtil: n10.VEUtil,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+		})
 	}
-	return &Fig27Result{Points: points}, nil
+	return out, nil
 }

@@ -33,7 +33,7 @@ type Simulator struct {
 	meBusyArea float64
 	veBusyArea float64
 	bwArea     float64
-	hbmTL      *metrics.TimeSeries
+	hbmTL      *metrics.TimeSeries // nil unless sampling
 
 	// Zero-alloc machinery: retired µTOp instances are recycled through
 	// utopFree, and every per-event temporary (bandwidth demand items,
@@ -96,7 +96,9 @@ func New(cfg Config, specs []TenantSpec) (*Simulator, error) {
 		meBlocked:    make([]float64, cfg.Core.MEs),
 		activeTenant: -1,
 		complexOwner: -1,
-		hbmTL:        metrics.NewTimeSeries("hbm", 4096),
+	}
+	if cfg.SampleEvery > 0 {
+		s.hbmTL = metrics.NewTimeSeries("hbm", 4096)
 	}
 	for i := range s.meOwner {
 		s.meOwner[i] = -1
@@ -917,7 +919,9 @@ func (s *Simulator) advance(dt float64, servedBW float64) {
 		}
 	}
 	s.bwArea += servedBW * dt
-	s.hbmTL.Add(s.now, servedBW)
+	if s.hbmTL != nil {
+		s.hbmTL.Add(s.now, servedBW)
+	}
 	s.now += dt
 }
 

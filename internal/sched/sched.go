@@ -144,10 +144,12 @@ type Result struct {
 	Policy         Mode
 	DurationCycles float64
 	Tenants        []TenantResult
-	MEUtil         float64             // work-weighted busy fraction of all MEs (Fig. 22a)
-	VEUtil         float64             // Fig. 22b
-	HBMTimeline    *metrics.TimeSeries // bytes/cycle demand served (Fig. 7)
-	AvgBandwidth   float64             // bytes/cycle average
+	MEUtil         float64 // work-weighted busy fraction of all MEs (Fig. 22a)
+	VEUtil         float64 // Fig. 22b
+	AvgBandwidth   float64 // bytes/cycle average
+	// HBMTimeline (filled when Config.SampleEvery > 0): bytes/cycle of
+	// demand served at every event (Fig. 7), not only at sample points.
+	HBMTimeline *metrics.TimeSeries
 }
 
 // ---- internal runtime state ----

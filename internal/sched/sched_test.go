@@ -360,6 +360,20 @@ func TestTimelineSampling(t *testing.T) {
 	}
 }
 
+// TestUnsampledRunHasNoTimelines checks that a run without SampleEvery
+// records no timelines: the HBM one is built on every event when
+// sampling, so unsampled runs must not pay for it.
+func TestUnsampledRunHasNoTimelines(t *testing.T) {
+	res := mustRun(t, Config{Core: tpu(), Policy: Neu10, Requests: 4},
+		TenantSpec{Name: "A", Graph: synth(compiler.ISANeu, meOp(4, 1000, 0), veOp(2000)), MEs: 2, VEs: 2})
+	if res.HBMTimeline != nil {
+		t.Fatalf("unsampled run recorded an HBM timeline of %d points", res.HBMTimeline.Len())
+	}
+	if res.Tenants[0].METimeline != nil || res.Tenants[0].VETimeline != nil {
+		t.Fatal("unsampled run recorded ME/VE timelines")
+	}
+}
+
 func TestPriorityWeighting(t *testing.T) {
 	// Under PMT, a 3x-priority tenant should complete ~3x the requests.
 	g := func() *compiler.CompiledGraph { return synth(compiler.ISAVLIW, meOp(4, 5000, 0)) }
