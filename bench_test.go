@@ -257,6 +257,21 @@ func BenchmarkCompileBERT(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileLLMDecode measures graph construction plus NeuISA
+// compilation of one serving decode iteration (40 identical layers) on
+// a 2ME+2VE vNPU: the compile half of each LLM cost-model bucket.
+func BenchmarkCompileLLMDecode(b *testing.B) {
+	comp, err := compiler.New(arch.TPUv4Like().WithEUs(2, 2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := comp.Compile(model.LLMDecode(8, 512), compiler.ISANeu); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSchedulerSteadyState measures the fluid simulator on the
 // paper's default scenario (DLRM+SMask under Neu10, 4 requests each).
 func BenchmarkSchedulerSteadyState(b *testing.B) {

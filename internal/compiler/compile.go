@@ -30,6 +30,9 @@ type CompiledOp struct {
 	Name string
 	Kind OpKind
 	// Groups run sequentially; µTOps within a group concurrently.
+	// Compile lowers each distinct operator shape once, so the groups
+	// may alias those of other ops of the same graph: they are
+	// read-only.
 	Groups []GroupSpec
 	// ReductionSplit marks the NeuISA-overhead case (paper §III-D): the
 	// operator was partitioned on the reduction dimension, so the final
@@ -138,27 +141,39 @@ func (c *Compiler) Compile(g *Graph, kind ISAKind) (*CompiledGraph, error) {
 		Footprint: g.HBMFootprint,
 		Ops:       make([]CompiledOp, 0, len(g.Ops)),
 	}
+	// Lowering never reads an Op's name, so the operators of repeated
+	// layers share one lowering: key by the Op with Name cleared (any
+	// future shape field joins the key automatically).
+	lowered := map[Op]CompiledOp{}
 	for i := range g.Ops {
-		op := &g.Ops[i]
-		cost := c.cm.Cost(op)
-		var co CompiledOp
-		switch {
-		case op.Kind.IsME():
-			co = c.compileMatMul(op, cost, kind)
-		default:
-			co = CompiledOp{
-				Name: op.Name,
-				Kind: op.Kind,
-				Groups: []GroupSpec{{UTops: []UTopSpec{{
-					Kind:     isa.VEUTop,
-					VECycles: cost.VECycles,
-					HBMBytes: cost.HBMBytes,
-				}}}},
-			}
+		shape := g.Ops[i]
+		shape.Name = ""
+		co, ok := lowered[shape]
+		if !ok {
+			co = c.lowerOp(&shape, kind)
+			lowered[shape] = co
 		}
+		co.Name = g.Ops[i].Name
 		out.Ops = append(out.Ops, co)
 	}
 	return out, nil
+}
+
+// lowerOp lowers one operator to its µTOp groups.
+func (c *Compiler) lowerOp(op *Op, kind ISAKind) CompiledOp {
+	cost := c.cm.Cost(op)
+	if op.Kind.IsME() {
+		return c.compileMatMul(op, cost, kind)
+	}
+	return CompiledOp{
+		Name: op.Name,
+		Kind: op.Kind,
+		Groups: []GroupSpec{{UTops: []UTopSpec{{
+			Kind:     isa.VEUTop,
+			VECycles: cost.VECycles,
+			HBMBytes: cost.HBMBytes,
+		}}}},
+	}
 }
 
 func (c *Compiler) compileMatMul(op *Op, cost OpCost, kind ISAKind) CompiledOp {

@@ -1,6 +1,10 @@
 package model
 
-import "neu10/internal/compiler"
+import (
+	"sync"
+
+	"neu10/internal/compiler"
+)
 
 // Phase-split LLM graphs for autoregressive serving (internal/serve's
 // continuous batcher). The registered "LLaMA" model is the §V-F case
@@ -25,7 +29,43 @@ const (
 	llmFFN    = 13824
 	llmHeads  = 40
 	llmVocab  = 32000
+
+	// llmOpsPerLayer is the operator count of one layer of a phase graph.
+	llmOpsPerLayer = 9
 )
+
+// llmLayerNames holds one layer's operator names, layerName(base, l).
+type llmLayerNames struct {
+	qkv, scores, softmax, ctx, oProj, rmsnorm1, gateUp, ffnDown, rmsnorm2 string
+}
+
+// llmNames formats every layer's names once: the registry LLaMA and
+// each phase graph the serving cost model builds name the same 360
+// operators.
+var llmNames = sync.OnceValue(func() []llmLayerNames {
+	t := make([]llmLayerNames, llmLayers)
+	for l := range t {
+		t[l] = llmLayerNames{
+			qkv:      layerName("qkv", l),
+			scores:   layerName("scores", l),
+			softmax:  layerName("softmax", l),
+			ctx:      layerName("ctx", l),
+			oProj:    layerName("o-proj", l),
+			rmsnorm1: layerName("rmsnorm1", l),
+			gateUp:   layerName("gate-up", l),
+			ffnDown:  layerName("ffn-down", l),
+			rmsnorm2: layerName("rmsnorm2", l),
+		}
+	}
+	return t
+})
+
+// newLLMBuilder starts a phase graph with room for every operator.
+func newLLMBuilder(name string, batch int) *builder {
+	b := newBuilder(name, batch)
+	b.g.Ops = make([]compiler.Op, 0, llmOpsPerLayer*llmLayers+1)
+	return b
+}
 
 // LLMParams returns the parameter count of the serving LLM.
 func LLMParams() int64 {
@@ -71,21 +111,21 @@ func LLMPrefill(batch, prompt int) *compiler.Graph {
 // the whole context behind it, exactly the work a constant per-chunk
 // price would hide. LLMPrefillChunk(b, p, 0) is LLMPrefill(b, p).
 func LLMPrefillChunk(batch, chunk, ctx int) *compiler.Graph {
-	b := newBuilder("LLaMA-prefill", batch)
+	b := newLLMBuilder("LLaMA-prefill", batch)
 	headDim := llmHidden / llmHeads
 	tokens := batch * chunk
 	span := ctx + chunk
 
-	for l := 0; l < llmLayers; l++ {
-		b.matmul(layerName("qkv", l), tokens, llmHidden, 3*llmHidden, false)
-		b.actMatmul(layerName("scores", l), batch*llmHeads*chunk, headDim, span, false)
-		b.vec(layerName("softmax", l), compiler.Softmax, int64(batch)*int64(llmHeads)*int64(chunk)*int64(span), 4)
-		b.actMatmul(layerName("ctx", l), batch*llmHeads*chunk, span, headDim, false)
-		b.matmul(layerName("o-proj", l), tokens, llmHidden, llmHidden, false)
-		b.vec(layerName("rmsnorm1", l), compiler.LayerNorm, int64(tokens)*llmHidden, 3)
-		b.matmul(layerName("gate-up", l), tokens, llmHidden, 2*llmFFN, true) // fused SiLU
-		b.matmul(layerName("ffn-down", l), tokens, llmFFN, llmHidden, false)
-		b.vec(layerName("rmsnorm2", l), compiler.LayerNorm, int64(tokens)*llmHidden, 3)
+	for _, n := range llmNames() {
+		b.matmul(n.qkv, tokens, llmHidden, 3*llmHidden, false)
+		b.actMatmul(n.scores, batch*llmHeads*chunk, headDim, span, false)
+		b.vec(n.softmax, compiler.Softmax, int64(batch)*int64(llmHeads)*int64(chunk)*int64(span), 4)
+		b.actMatmul(n.ctx, batch*llmHeads*chunk, span, headDim, false)
+		b.matmul(n.oProj, tokens, llmHidden, llmHidden, false)
+		b.vec(n.rmsnorm1, compiler.LayerNorm, int64(tokens)*llmHidden, 3)
+		b.matmul(n.gateUp, tokens, llmHidden, 2*llmFFN, true) // fused SiLU
+		b.matmul(n.ffnDown, tokens, llmFFN, llmHidden, false)
+		b.vec(n.rmsnorm2, compiler.LayerNorm, int64(tokens)*llmHidden, 3)
 	}
 	// Only the final position needs logits; intermediate chunks carry
 	// the (small) lm-head too, pricing the conservative side.
@@ -100,19 +140,19 @@ func LLMPrefillChunk(batch, chunk, ctx int) *compiler.Graph {
 // to the registry LLaMA's inner step, but parameterized on context so
 // the serving layer can price growing sequences into bucketed costs.
 func LLMDecode(batch, ctx int) *compiler.Graph {
-	b := newBuilder("LLaMA-decode", batch)
+	b := newLLMBuilder("LLaMA-decode", batch)
 	headDim := llmHidden / llmHeads
 
-	for l := 0; l < llmLayers; l++ {
-		b.matmul(layerName("qkv", l), batch, llmHidden, 3*llmHidden, false)
-		b.actMatmul(layerName("scores", l), batch*llmHeads, headDim, ctx, false)
-		b.vec(layerName("softmax", l), compiler.Softmax, int64(batch)*int64(llmHeads)*int64(ctx), 4)
-		b.actMatmul(layerName("ctx", l), batch*llmHeads, ctx, headDim, false)
-		b.matmul(layerName("o-proj", l), batch, llmHidden, llmHidden, false)
-		b.vec(layerName("rmsnorm1", l), compiler.LayerNorm, int64(batch)*llmHidden, 3)
-		b.matmul(layerName("gate-up", l), batch, llmHidden, 2*llmFFN, true) // fused SiLU
-		b.matmul(layerName("ffn-down", l), batch, llmFFN, llmHidden, false)
-		b.vec(layerName("rmsnorm2", l), compiler.LayerNorm, int64(batch)*llmHidden, 3)
+	for _, n := range llmNames() {
+		b.matmul(n.qkv, batch, llmHidden, 3*llmHidden, false)
+		b.actMatmul(n.scores, batch*llmHeads, headDim, ctx, false)
+		b.vec(n.softmax, compiler.Softmax, int64(batch)*int64(llmHeads)*int64(ctx), 4)
+		b.actMatmul(n.ctx, batch*llmHeads, ctx, headDim, false)
+		b.matmul(n.oProj, batch, llmHidden, llmHidden, false)
+		b.vec(n.rmsnorm1, compiler.LayerNorm, int64(batch)*llmHidden, 3)
+		b.matmul(n.gateUp, batch, llmHidden, 2*llmFFN, true) // fused SiLU
+		b.matmul(n.ffnDown, batch, llmFFN, llmHidden, false)
+		b.vec(n.rmsnorm2, compiler.LayerNorm, int64(batch)*llmHidden, 3)
 	}
 	b.matmul("lm-head", batch, llmHidden, llmVocab, false)
 

@@ -1,6 +1,10 @@
 package model
 
-import "testing"
+import (
+	"testing"
+
+	"neu10/internal/compiler"
+)
 
 // TestLLMPhaseGraphsValid: both phase builders must produce graphs that
 // pass the same validation the registry models do, across the bucketed
@@ -13,6 +17,36 @@ func TestLLMPhaseGraphsValid(t *testing.T) {
 			}
 			if err := LLMDecode(batch, seq).Validate(); err != nil {
 				t.Errorf("decode(%d, %d): %v", batch, seq, err)
+			}
+		}
+	}
+}
+
+// TestLLMNamesMatchLayerName: the LLM graphs take their per-layer names
+// from the interned table, which must hold exactly what
+// layerName(base, l) formats, in graph order, for every layer of every
+// decode step; a phase graph's preallocated operator slice must be
+// exactly full.
+func TestLLMNamesMatchLayerName(t *testing.T) {
+	bases := []string{"qkv", "scores", "softmax", "ctx", "o-proj", "rmsnorm1", "gate-up", "ffn-down", "rmsnorm2"}
+	perStep := len(bases)*llmLayers + 1
+	for _, g := range []*compiler.Graph{LLMDecode(8, 512), LLMPrefill(1, 16), LLMPrefillChunk(4, 64, 256), LLaMA(8)} {
+		if len(g.Ops)%perStep != 0 {
+			t.Fatalf("%s: %d ops, want a multiple of %d", g.Model, len(g.Ops), perStep)
+		}
+		if g.Model != "LLaMA" && cap(g.Ops) != perStep {
+			t.Errorf("%s: ops capacity %d, want %d", g.Model, cap(g.Ops), perStep)
+		}
+		for s := 0; s < len(g.Ops); s += perStep {
+			for l := 0; l < llmLayers; l++ {
+				for j, base := range bases {
+					if got, want := g.Ops[s+l*len(bases)+j].Name, layerName(base, l); got != want {
+						t.Errorf("%s: op %d named %q, want %q", g.Model, s+l*len(bases)+j, got, want)
+					}
+				}
+			}
+			if got := g.Ops[s+perStep-1].Name; got != "lm-head" {
+				t.Errorf("%s: op %d named %q, want lm-head", g.Model, s+perStep-1, got)
 			}
 		}
 	}

@@ -95,7 +95,7 @@ func Transformer(batch int) *compiler.Graph {
 // regime the paper collocates with compute-bound models in Fig. 27.
 func LLaMA(batch int) *compiler.Graph {
 	const (
-		layers  = 40
+		layers  = llmLayers
 		hidden  = 5120
 		ffnDim  = 13824
 		heads   = 40
@@ -106,18 +106,18 @@ func LLaMA(batch int) *compiler.Graph {
 	headDim := hidden / heads
 
 	for step := 0; step < decodes; step++ {
-		for l := 0; l < layers; l++ {
+		for _, n := range llmNames() {
 			// Decode: one token per sample; GEMV-shaped matmuls stream
 			// the full weight matrices for tiny M — the HBM-bound shape.
-			b.matmul(layerName("qkv", l), batch, hidden, 3*hidden, false)
-			b.actMatmul(layerName("scores", l), batch*heads, headDim, ctxLen+step, false)
-			b.vec(layerName("softmax", l), compiler.Softmax, int64(batch)*heads*int64(ctxLen+step), 4)
-			b.actMatmul(layerName("ctx", l), batch*heads, ctxLen+step, headDim, false)
-			b.matmul(layerName("o-proj", l), batch, hidden, hidden, false)
-			b.vec(layerName("rmsnorm1", l), compiler.LayerNorm, int64(batch)*hidden, 3)
-			b.matmul(layerName("gate-up", l), batch, hidden, 2*ffnDim, true) // fused SiLU
-			b.matmul(layerName("ffn-down", l), batch, ffnDim, hidden, false)
-			b.vec(layerName("rmsnorm2", l), compiler.LayerNorm, int64(batch)*hidden, 3)
+			b.matmul(n.qkv, batch, hidden, 3*hidden, false)
+			b.actMatmul(n.scores, batch*heads, headDim, ctxLen+step, false)
+			b.vec(n.softmax, compiler.Softmax, int64(batch)*heads*int64(ctxLen+step), 4)
+			b.actMatmul(n.ctx, batch*heads, ctxLen+step, headDim, false)
+			b.matmul(n.oProj, batch, hidden, hidden, false)
+			b.vec(n.rmsnorm1, compiler.LayerNorm, int64(batch)*hidden, 3)
+			b.matmul(n.gateUp, batch, hidden, 2*ffnDim, true) // fused SiLU
+			b.matmul(n.ffnDown, batch, ffnDim, hidden, false)
+			b.vec(n.rmsnorm2, compiler.LayerNorm, int64(batch)*hidden, 3)
 		}
 		b.matmul("lm-head", batch, hidden, 32000, false)
 	}

@@ -102,6 +102,12 @@ type costKey struct {
 	nm, nv int
 }
 
+// String names every field of the key, so LLM keys that share batch and
+// shape but differ in phase, sequence or cached context read apart.
+func (k costKey) String() string {
+	return fmt.Sprintf("%s/%v batch %d seq %d ctx %d on %dME+%dVE", k.model, k.phase, k.batch, k.seq, k.ctx, k.nm, k.nv)
+}
+
 type costEntry struct {
 	once   sync.Once
 	cycles float64
@@ -289,7 +295,7 @@ func (db *CostDB) measure(key costKey) (float64, error) {
 		sched.Config{Core: sub, Policy: sched.NeuNH, Requests: 1},
 		[]sched.TenantSpec{{Name: key.model, Graph: cg, MEs: key.nm, VEs: key.nv}})
 	if err != nil {
-		return 0, fmt.Errorf("serve: costing %s/%d on %dME+%dVE: %w", key.model, key.batch, key.nm, key.nv, err)
+		return 0, fmt.Errorf("serve: costing %v: %w", key, err)
 	}
 	return res.Tenants[0].MeanLatency, nil
 }

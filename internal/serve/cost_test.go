@@ -8,6 +8,30 @@ import (
 	"neu10/internal/arch"
 )
 
+// TestCostKeyStringDistinct: LLM keys with the same batch and vNPU but
+// a different phase, sequence or cached context must render apart, so
+// a costing error names the bucket that failed.
+func TestCostKeyStringDistinct(t *testing.T) {
+	keys := []costKey{
+		{model: llmModel, phase: PhasePrefill, batch: 8, seq: 64, ctx: 256, nm: 2, nv: 2},
+		{model: llmModel, phase: PhasePrefill, batch: 8, seq: 64, nm: 2, nv: 2},
+		{model: llmModel, phase: PhaseDecode, batch: 8, seq: 64, nm: 2, nv: 2},
+		{model: llmModel, phase: PhaseDecode, batch: 8, seq: 128, nm: 2, nv: 2},
+		{model: llmModel, batch: 8, nm: 2, nv: 2},
+	}
+	seen := map[string]costKey{}
+	for _, k := range keys {
+		s := k.String()
+		if prev, dup := seen[s]; dup {
+			t.Errorf("keys %#v and %#v both render as %q", prev, k, s)
+		}
+		seen[s] = k
+	}
+	if got, want := keys[0].String(), "LLaMA/prefill batch 8 seq 64 ctx 256 on 2ME+2VE"; got != want {
+		t.Errorf("chunk key renders as %q, want %q", got, want)
+	}
+}
+
 // TestCostDBSingleFlightConcurrent drives the documented single-flight
 // property under real concurrency (run with -race in CI): 32 goroutines
 // racing on the SAME key must trigger exactly one measurement and all
