@@ -272,6 +272,31 @@ func BenchmarkCompileLLMDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkSoloLLMDecode measures the solo NeuNH run behind one LLM
+// cost-model bucket: a 40-layer decode iteration (batch 8, 512 cached
+// tokens) on a 2ME+2VE vNPU with its share of HBM bandwidth, compiled
+// once. Layer 0's operators are simulated; layers 1–39 replay them.
+func BenchmarkSoloLLMDecode(b *testing.B) {
+	core := arch.TPUv4Like()
+	sub := core.WithEUs(2, 2).WithHBMBandwidth(core.HBMBwBytes * 4 / float64(core.MEs+core.VEs))
+	comp, err := compiler.New(sub)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cg, err := comp.Compile(model.LLMDecode(8, 512), compiler.ISANeu)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sched.Config{Core: sub, Policy: sched.NeuNH, Requests: 1}
+	specs := []sched.TenantSpec{{Name: "decode", Graph: cg, MEs: 2, VEs: 2}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.Run(cfg, specs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSchedulerSteadyState measures the fluid simulator on the
 // paper's default scenario (DLRM+SMask under Neu10, 4 requests each).
 func BenchmarkSchedulerSteadyState(b *testing.B) {

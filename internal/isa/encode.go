@@ -68,11 +68,13 @@ func encodeCode(dst []byte, code []Instruction) []byte {
 }
 
 func decodeCode(b []byte, f Format, n int) ([]Instruction, []byte, error) {
-	wpi := f.wordsPerInstruction()
-	need := n * wpi * 8
-	if len(b) < need {
-		return nil, nil, fmt.Errorf("isa: truncated code section: have %d bytes, need %d", len(b), need)
+	// Bound n by the bytes present before multiplying, so a forged count
+	// can neither overflow need nor size an allocation.
+	size := f.wordsPerInstruction() * 8
+	if n < 0 || n > len(b)/size {
+		return nil, nil, fmt.Errorf("isa: truncated code section: have %d bytes, need %d instructions of %d", len(b), n, size)
 	}
+	need := n * size
 	code := make([]Instruction, n)
 	off := 0
 	next := func() Operation {
@@ -193,11 +195,19 @@ func DecodeNeuProgram(b []byte) (*NeuProgram, error) {
 		return nil, fmt.Errorf("isa: unsupported version %d", ver)
 	}
 	p := &NeuProgram{VESlots: int(ve)}
+	if err := p.VEFormat().Validate(); err != nil {
+		return nil, err
+	}
 	if p.MECode, b, err = decodeCode(b, p.MEFormat(), int(nme)); err != nil {
 		return nil, err
 	}
 	if p.VECode, b, err = decodeCode(b, p.VEFormat(), int(nve)); err != nil {
 		return nil, err
+	}
+	// Each µTOp entry takes 8 bytes and each group at least 8: check
+	// the counts against what remains before allocating for them.
+	if uint64(nut) > uint64(len(b)/8) {
+		return nil, fmt.Errorf("isa: truncated µTOp table: %d entries in %d bytes", nut, len(b))
 	}
 	p.UTops = make([]UTop, nut)
 	for i := range p.UTops {
@@ -209,6 +219,9 @@ func DecodeNeuProgram(b []byte) (*NeuProgram, error) {
 			return nil, err
 		}
 		p.UTops[i] = UTop{Kind: UTopKind(k), Start: int(s)}
+	}
+	if uint64(ngr) > uint64(len(b)/8) {
+		return nil, fmt.Errorf("isa: truncated group table: %d groups in %d bytes", ngr, len(b))
 	}
 	p.Groups = make([]Group, ngr)
 	for i := range p.Groups {

@@ -350,3 +350,54 @@ func TestDisassembleCoversAllOpcodes(t *testing.T) {
 		}
 	}
 }
+
+// neuHeader builds a NeuISA header (magic plus six counts) followed by
+// body bytes.
+func neuHeader(veSlots, nme, nve, nut, ngr uint32, body ...byte) []byte {
+	b := append([]byte{}, magicNeu[:]...)
+	for _, v := range []uint32{encVersion, veSlots, nme, nve, nut, ngr} {
+		b = putU32(b, v)
+	}
+	return append(b, body...)
+}
+
+// TestDecodeNeuRejectsForgedCounts: header counts that the bytes
+// behind them cannot hold must be errors, not allocations sized by the
+// header (each of these ran the decoder out of memory).
+func TestDecodeNeuRejectsForgedCounts(t *testing.T) {
+	cases := map[string][]byte{
+		"huge group count":        neuHeader(1, 0, 0, 0, 0xffffffff),
+		"group count past body":   neuHeader(1, 0, 0, 0, 2, make([]byte, 8)...),
+		"huge µTOp count":         neuHeader(1, 0, 0, 0xffffffff, 0),
+		"µTOp count past body":    neuHeader(1, 0, 0, 3, 0, make([]byte, 16)...),
+		"huge VE slots":           neuHeader(0x10000000, 0x10000000, 0, 0, 0),
+		"zero VE slots":           neuHeader(0, 0, 0, 0, 0),
+		"huge ME instructions":    neuHeader(1, 0xffffffff, 0, 0, 0),
+		"huge VE instructions":    neuHeader(1, 0, 0xffffffff, 0, 0),
+		"instructions past body":  neuHeader(1, 2, 0, 0, 0, make([]byte, 40)...),
+		"VE slots beyond format":  neuHeader(17, 0, 0, 0, 0),
+		"max VE slots and counts": neuHeader(0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff),
+	}
+	for name, bin := range cases {
+		if _, err := DecodeNeuProgram(bin); err == nil {
+			t.Errorf("%s: forged header accepted", name)
+		}
+	}
+	// The header of a valid program with no code, µTOps or groups still
+	// decodes: the bounds reject only what the bytes cannot hold.
+	if _, err := DecodeNeuProgram(neuHeader(1, 0, 0, 0, 0)); err != nil {
+		t.Errorf("empty program rejected: %v", err)
+	}
+}
+
+// TestDecodeVLIWRejectsForgedCount: the VLIW container's instruction
+// count is bounded by its body the same way.
+func TestDecodeVLIWRejectsForgedCount(t *testing.T) {
+	b := append([]byte{}, magicVLIW[:]...)
+	for _, v := range []uint32{encVersion, 16, 16, 0xffffffff} {
+		b = putU32(b, v)
+	}
+	if _, err := DecodeProgram(b); err == nil {
+		t.Fatal("forged instruction count accepted")
+	}
+}

@@ -35,6 +35,13 @@ type Simulator struct {
 	bwArea     float64
 	hbmTL      *metrics.TimeSeries // nil unless sampling
 
+	// Operator replay (replay.go): rp is nil unless the run qualifies;
+	// recording is set while an operator's first run is being taped;
+	// replayed counts the events applied from tapes.
+	rp        *tapes
+	recording bool
+	replayed  uint64
+
 	// Zero-alloc machinery: retired µTOp instances are recycled through
 	// utopFree, and every per-event temporary (bandwidth demand items,
 	// waterfill buffers, VE grant lists) lives in scratch so the steady
@@ -157,8 +164,15 @@ func New(cfg Config, specs []TenantSpec) (*Simulator, error) {
 	return s, nil
 }
 
+// maxEvents bounds a run's loop events, replayed ones included.
+const maxEvents = 80_000_000
+
 // Run simulates to steady state and returns the results.
 func (s *Simulator) Run() (*Result, error) {
+	if s.replayable() {
+		s.rp = tapePool.Get().(*tapes)
+		defer s.rp.release()
+	}
 	for _, t := range s.tenants {
 		if t.spec.ArrivalRate > 0 {
 			t.idle = true
@@ -168,7 +182,6 @@ func (s *Simulator) Run() (*Result, error) {
 			s.beginService(t, 0)
 		}
 	}
-	const maxEvents = 80_000_000
 	for {
 		s.events++
 		if s.events > maxEvents {
@@ -200,7 +213,7 @@ func (s *Simulator) beginService(t *tenant, arrivedAt float64) {
 	t.reqStart = arrivedAt
 	t.opStart = s.now
 	t.idle = false
-	s.emitGroup(t)
+	s.startOp(t)
 }
 
 // interarrival draws the next exponential interarrival gap in cycles.
@@ -862,7 +875,12 @@ func (s *Simulator) sample() {
 	}
 }
 
+// advance moves time forward by dt. The busy-area and bandwidth terms
+// are rounded to float64 before they are added (an explicit conversion
+// forbids a fused multiply-add), so a taped term replays the same bits
+// on every architecture.
 func (s *Simulator) advance(dt float64, servedBW float64) {
+	rec := s.recording
 	for _, t := range s.tenants {
 		active := false
 		for _, u := range t.running {
@@ -872,10 +890,19 @@ func (s *Simulator) advance(dt float64, servedBW float64) {
 			active = true
 			u.rem -= u.speed * dt
 			if u.kind == isa.MEUTop {
-				s.meBusyArea += u.meFrac * u.speed * dt
-				s.veBusyArea += u.veNeed * u.speed * dt
+				me, ve := float64(u.meFrac*u.speed*dt), float64(u.veNeed*u.speed*dt)
+				s.meBusyArea += me
+				s.veBusyArea += ve
+				if rec {
+					s.rp.me = append(s.rp.me, me)
+					s.rp.ve = append(s.rp.ve, ve)
+				}
 			} else {
-				s.veBusyArea += u.speed * dt
+				ve := float64(u.speed * dt)
+				s.veBusyArea += ve
+				if rec {
+					s.rp.ve = append(s.rp.ve, ve)
+				}
 			}
 		}
 		if active {
@@ -918,9 +945,13 @@ func (s *Simulator) advance(dt float64, servedBW float64) {
 			s.tenants[s.activeTenant].serviceCycles += dt * float64(s.cfg.Core.MEs+s.cfg.Core.VEs)
 		}
 	}
-	s.bwArea += servedBW * dt
+	bw := float64(servedBW * dt)
+	s.bwArea += bw
 	if s.hbmTL != nil {
 		s.hbmTL.Add(s.now, servedBW)
+	}
+	if rec {
+		s.rp.evs = append(s.rp.evs, tapeEvent{dt: dt, bw: bw, meEnd: len(s.rp.me), veEnd: len(s.rp.ve)})
 	}
 	s.now += dt
 }
@@ -963,11 +994,14 @@ func (s *Simulator) advanceGroup(t *tenant) {
 	// Operator finished.
 	t.opDurSum[t.opIdx] += s.now - t.opStart
 	t.opDurN[t.opIdx]++
+	if s.recording {
+		s.closeTape()
+	}
 	t.opIdx++
 	t.groupIdx = 0
 	t.opStart = s.now
 	if t.opIdx < len(t.spec.Graph.Ops) {
-		s.emitGroup(t)
+		s.startOp(t)
 		return
 	}
 	// Request finished.
@@ -991,6 +1025,7 @@ func (s *Simulator) collect() *Result {
 	res := &Result{
 		Policy:         s.cfg.Policy,
 		DurationCycles: s.now,
+		Events:         s.events,
 		HBMTimeline:    s.hbmTL,
 	}
 	if s.now > 0 {

@@ -15,6 +15,11 @@
 // bandwidth sharing; events fire at completions and policy decision
 // points. This matches the granularity the paper describes (replaying
 // µTOp traces through a frontend scheduler and a backend timing model).
+//
+// Solo closed-loop NeuNH runs without sampling — the cost model's
+// measurements — simulate each distinct operator once and replay its
+// recorded float additions for every repeat (replay.go). Replay is
+// exact: the Result is bit-identical to simulating every operator.
 package sched
 
 import (
@@ -147,6 +152,10 @@ type Result struct {
 	MEUtil         float64 // work-weighted busy fraction of all MEs (Fig. 22a)
 	VEUtil         float64 // Fig. 22b
 	AvgBandwidth   float64 // bytes/cycle average
+	// Events counts the event-loop iterations, replayed operators'
+	// events included, so it is the same with replay on or off: a
+	// deterministic work counter.
+	Events uint64
 	// HBMTimeline (filled when Config.SampleEvery > 0): bytes/cycle of
 	// demand served at every event (Fig. 7), not only at sample points.
 	HBMTimeline *metrics.TimeSeries

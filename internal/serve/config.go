@@ -392,6 +392,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("serve: fleet needs ≥1 pNPU, got %d", c.Cores)
 	case c.DurationSec <= 0:
 		return fmt.Errorf("serve: duration %v", c.DurationSec)
+	case !(c.ScaleEverySec > 0):
+		return fmt.Errorf("serve: autoscale interval %v s", c.ScaleEverySec)
 	case len(c.Tenants) == 0:
 		return fmt.Errorf("serve: no tenants")
 	case c.PreemptQuantumCycles < 0:

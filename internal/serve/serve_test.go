@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -240,5 +241,18 @@ func TestArrivalEnvelopes(t *testing.T) {
 	}
 	if lo < 0.49 || hi > 1.51 {
 		t.Errorf("diurnal envelope [%v, %v] escapes 1±depth", lo, hi)
+	}
+}
+
+// TestNegativeScaleIntervalRejected: an autoscaler interval that is not
+// positive must be a configuration error. A negative one used to reach
+// the event engine and panic scheduling the first tick before now.
+func TestNegativeScaleIntervalRejected(t *testing.T) {
+	for _, every := range []float64{-0.1, math.NaN()} {
+		cfg := fastConfig(1)
+		cfg.ScaleEverySec = every
+		if _, err := Run(cfg, nil); err == nil {
+			t.Errorf("ScaleEverySec %v accepted", every)
+		}
 	}
 }
